@@ -217,11 +217,7 @@ impl HammerKernel {
     /// Counts flips in the pattern's victim rows against the fill pattern
     /// (aggressor rows excluded).
     pub fn victim_flips(&self, ctrl: &mut MemoryController) -> usize {
-        let victims = self.pattern.victim_rows();
-        ctrl.scan_flips()
-            .into_iter()
-            .filter(|f| f.bank == self.pattern.bank() && victims.contains(&f.row()))
-            .count()
+        ctrl.victim_flips(self.pattern.bank(), &self.pattern.victim_rows())
     }
 }
 

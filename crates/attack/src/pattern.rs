@@ -492,9 +492,10 @@ impl ShapedKernel {
     /// re-anchors it, at the cost of idle hit-reads.
     ///
     /// The spin is ordinary `Rd` traffic (a real attacker's polling
-    /// loop), so recorded traces carry the synchronization with them and
-    /// replay it exactly. Pick `sync_row` far from the aggressor pool:
-    /// its single activation per cycle is the only disturbance it adds.
+    /// loop, issued through `MemoryController::read_until`), so recorded
+    /// traces carry the synchronization with them and replay it exactly.
+    /// Pick `sync_row` far from the aggressor pool: its single
+    /// activation per cycle is the only disturbance it adds.
     ///
     /// # Errors
     ///
@@ -513,9 +514,7 @@ impl ShapedKernel {
         let start_ns = ctrl.now_ns();
         while ctrl.now_ns() < deadline_ns {
             let target = (ctrl.now_ns() / interval_ns + 1) * interval_ns;
-            while ctrl.now_ns() < target {
-                ctrl.issue(MemCommand::Rd { bank, row: sync_row, word: 0 })?;
-            }
+            ctrl.read_until(bank, sync_row, 0, target)?;
             self.cycle(ctrl)?;
         }
         Ok(KernelReport {
@@ -527,11 +526,7 @@ impl ShapedKernel {
     /// Counts flips in the pattern's victim rows against the fill pattern
     /// (aggressor rows excluded).
     pub fn victim_flips(&self, ctrl: &mut MemoryController) -> usize {
-        let victims = self.pattern.victim_rows();
-        ctrl.scan_flips()
-            .into_iter()
-            .filter(|f| f.bank == self.pattern.bank && victims.contains(&f.row()))
-            .count()
+        ctrl.victim_flips(self.pattern.bank, &self.pattern.victim_rows())
     }
 }
 

@@ -9,7 +9,9 @@
 //! exceeds a rate threshold is flagged as an aggressor and its neighbours
 //! are refreshed.
 
-use crate::trace::{CommandObserver, CommandOrigin, MemCommand, ObserverCtx, TraceEvent};
+use crate::trace::{
+    CommandObserver, CommandOrigin, MemCommand, ObserverCtx, TraceEvent, TraceFilter,
+};
 use std::collections::HashMap;
 
 /// ANVIL detector configuration.
@@ -78,6 +80,10 @@ impl AnvilDetector {
 impl CommandObserver for AnvilDetector {
     fn name(&self) -> &'static str {
         "ANVIL"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {

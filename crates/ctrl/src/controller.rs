@@ -56,6 +56,31 @@ impl Default for ControllerConfig {
     }
 }
 
+/// The controller's DDR latencies in whole nanoseconds, rounded once
+/// from the configured [`Timing`].
+#[derive(Debug, Clone, Copy)]
+struct Latencies {
+    /// Column access on an open row (`t_CL`).
+    cl: u64,
+    /// Precharge (`t_RP`).
+    rp: u64,
+    /// Same-bank activate-to-activate (`t_RC`).
+    rc: u64,
+    /// Activate to data (`t_RCD + t_CL`).
+    rcd_cl: u64,
+}
+
+impl Latencies {
+    fn new(t: &Timing) -> Self {
+        Self {
+            cl: t.t_cl.round() as u64,
+            rp: t.t_rp.round() as u64,
+            rc: t.t_rc.round() as u64,
+            rcd_cl: (t.t_rcd + t.t_cl).round() as u64,
+        }
+    }
+}
+
 /// The memory controller.
 ///
 /// # Examples
@@ -76,6 +101,7 @@ impl Default for ControllerConfig {
 pub struct MemoryController {
     module: Module,
     config: ControllerConfig,
+    lat: Latencies,
     refresh: RefreshEngine,
     observers: ObserverChain,
     open_rows: Vec<Option<usize>>,
@@ -108,6 +134,7 @@ impl MemoryController {
         Self {
             module,
             config,
+            lat: Latencies::new(&config.timing),
             refresh,
             observers: ObserverChain::new(),
             open_rows: vec![None; banks],
@@ -253,6 +280,40 @@ impl MemoryController {
         Ok(value)
     }
 
+    /// Reads `word` of `(bank, row)` until simulated time reaches
+    /// `target_ns` — a refresh-synchronized kernel's spin. Defined as
+    /// exactly `while now_ns < target_ns { read(bank, row, word)? }`:
+    /// the same stats, clock, request log, observer events and device
+    /// state. A run of open-row hits costs O(1) when nothing can tell
+    /// the hits apart: no observer consumes [`CommandOrigin::Request`]
+    /// events, the page policy is [`PagePolicy::Open`], and the run ends
+    /// before the next refresh tick.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing read's [`CtrlError`], leaving the state
+    /// that read left.
+    pub fn read_until(
+        &mut self,
+        bank: usize,
+        row: usize,
+        word: usize,
+        target_ns: u64,
+    ) -> Result<(), CtrlError> {
+        let bulk = self.config.page_policy == PagePolicy::Open
+            && !self.observers.consumes(CommandOrigin::Request)
+            && self.lat.cl > 0;
+        while self.now_ns < target_ns {
+            // Opens the row (or hits it), servicing any refresh due.
+            self.read(bank, row, word)?;
+            let end = target_ns.min(self.refresh.next_due_ns());
+            if bulk && self.now_ns < end {
+                self.open_row_hits(bank, row, word, (end - self.now_ns).div_ceil(self.lat.cl));
+            }
+        }
+        Ok(())
+    }
+
     /// Writes a word, advancing time and servicing refreshes.
     ///
     /// # Errors
@@ -323,7 +384,7 @@ impl MemoryController {
     pub fn close_row(&mut self, bank: usize) -> Result<(), CtrlError> {
         self.check_bank(bank)?;
         if let Some(row) = self.open_rows[bank] {
-            self.now_ns += self.config.timing.t_rp.round() as u64;
+            self.now_ns += self.lat.rp;
             self.module.precharge(bank)?;
             self.open_rows[bank] = None;
             self.emit(CommandOrigin::Controller, MemCommand::Pre { bank, row });
@@ -352,6 +413,30 @@ impl MemoryController {
         out
     }
 
+    /// Counts the flipped cells in the physical rows `victims` of `bank`
+    /// against the last fill pattern: the number of [`Self::scan_flips`]
+    /// records in those rows, without building the records. Every row
+    /// of every bank is committed in scan order, so the device (its RNG
+    /// included) ends exactly as after a scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device was never filled (as [`Self::scan_flips`]).
+    pub fn victim_flips(&mut self, bank: usize, victims: &[usize]) -> usize {
+        let now = self.now_ns;
+        let mut flips = 0;
+        for b in 0..self.module.bank_count() {
+            let device = self.module.bank_mut(b);
+            for row in 0..device.geometry().rows() {
+                let n = device.count_flips_from_fill(row, now);
+                if b == bank && victims.contains(&row) {
+                    flips += n;
+                }
+            }
+        }
+        flips
+    }
+
     // ----- internals ---------------------------------------------------
 
     fn check_bank(&self, bank: usize) -> Result<(), CtrlError> {
@@ -369,6 +454,8 @@ impl MemoryController {
     /// the module; they are re-announced as [`CommandOrigin::Mitigation`]
     /// events one level deep — injections triggered *by* a mitigation
     /// event are executed but not re-announced, which bounds the fan-out.
+    /// An event of an origin no observer consumes is counted (and
+    /// logged, for a request) but never built for the chain.
     fn emit(&mut self, origin: CommandOrigin, cmd: MemCommand) {
         self.stats.commands_emitted += 1;
         if origin == CommandOrigin::Request {
@@ -376,7 +463,7 @@ impl MemoryController {
                 log.push(TraceEvent { at_ns: self.now_ns, origin, cmd });
             }
         }
-        if self.observers.is_empty() {
+        if !self.observers.consumes(origin) {
             return;
         }
         let event = TraceEvent { at_ns: self.now_ns, origin, cmd };
@@ -395,33 +482,48 @@ impl MemoryController {
         }
     }
 
+    /// `hits` reads of `(bank, row)`, already open, none of which has a
+    /// refresh due or an observer to tell: the counters, clock and
+    /// request log the reads leave, without issuing them one by one.
+    fn open_row_hits(&mut self, bank: usize, row: usize, word: usize, hits: u64) {
+        let (start, cl) = (self.now_ns, self.lat.cl);
+        self.now_ns += hits * cl;
+        self.stats.row_hits += hits;
+        self.stats.reads += hits;
+        self.stats.commands_emitted += hits;
+        if let Some(log) = &mut self.req_log {
+            let (origin, cmd) = (CommandOrigin::Request, MemCommand::Rd { bank, row, word });
+            log.extend((1..=hits).map(|i| TraceEvent { at_ns: start + i * cl, origin, cmd }));
+        }
+    }
+
     /// Performs the row-buffer management for an access to `(bank, row)`.
     fn access(&mut self, bank: usize, row: usize) -> Result<(), CtrlError> {
         self.service_refresh();
-        let t = self.config.timing;
+        let lat = self.lat;
         self.check_bank(bank)?;
         match self.open_rows[bank] {
             Some(open) if open == row => {
                 self.stats.row_hits += 1;
-                self.now_ns += t.t_cl.round() as u64;
+                self.now_ns += lat.cl;
             }
             other => {
                 if let Some(old) = other {
                     // Close the old row; the PRE event is the
                     // mitigations' precharge hook.
                     self.stats.row_conflicts += 1;
-                    self.now_ns += t.t_rp.round() as u64;
+                    self.now_ns += lat.rp;
                     self.module.precharge(bank)?;
                     self.emit(CommandOrigin::Controller, MemCommand::Pre { bank, row: old });
                 }
                 // Enforce tRC: same-bank activations cannot be closer than
                 // t_rc apart — this is what bounds a hammering attacker's
                 // per-window activation budget.
-                let act_time = self.now_ns.max(self.last_act_ns[bank] + t.t_rc.round() as u64);
+                let act_time = self.now_ns.max(self.last_act_ns[bank] + lat.rc);
                 self.module.activate(bank, row, act_time)?;
                 self.last_act_ns[bank] = act_time;
                 self.stats.activations += 1;
-                self.now_ns = act_time + (t.t_rcd + t.t_cl).round() as u64;
+                self.now_ns = act_time + lat.rcd_cl;
                 self.open_rows[bank] = Some(row);
                 self.emit(CommandOrigin::Controller, MemCommand::Act { bank, row });
             }
@@ -429,7 +531,7 @@ impl MemoryController {
         if self.config.page_policy == PagePolicy::Closed {
             // Auto-precharge: close the row right away (with its PRE
             // event for the mitigations).
-            self.now_ns += t.t_rp.round() as u64;
+            self.now_ns += lat.rp;
             self.module.precharge(bank)?;
             self.open_rows[bank] = None;
             self.emit(CommandOrigin::Controller, MemCommand::Pre { bank, row });
@@ -439,11 +541,11 @@ impl MemoryController {
 
     /// Refreshes every row that came due before `now` in every bank.
     fn service_refresh(&mut self) {
-        // Collect due rows first (the engine iterator borrows mutably).
-        let due: Vec<usize> = self.refresh.due_rows(self.now_ns).collect();
-        if due.is_empty() {
+        if self.now_ns < self.refresh.next_due_ns() {
             return;
         }
+        // Collect due rows first (the engine iterator borrows mutably).
+        let due: Vec<usize> = self.refresh.due_rows(self.now_ns).collect();
         let windows = self.refresh.windows_completed();
         for row in due {
             for bank in 0..self.module.bank_count() {

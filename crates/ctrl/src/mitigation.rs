@@ -42,7 +42,9 @@
 //! [`crate::trace`] ([`MemCommand`] subsumes the kind enum;
 //! [`crate::trace::CommandLog`] records full [`TraceEvent`]s).
 
-use crate::trace::{CommandObserver, CommandOrigin, MemCommand, ObserverCtx, TraceEvent};
+use crate::trace::{
+    CommandObserver, CommandOrigin, MemCommand, ObserverCtx, TraceEvent, TraceFilter,
+};
 use densemem_dram::VintageProfile;
 use densemem_stats::dist::Bernoulli;
 use densemem_stats::rng::substream;
@@ -62,6 +64,10 @@ pub struct NoMitigation;
 impl CommandObserver for NoMitigation {
     fn name(&self) -> &'static str {
         "none"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, _event: &TraceEvent, _ctx: &mut ObserverCtx<'_>) {}
@@ -113,6 +119,10 @@ impl CommandObserver for Para {
         "PARA"
     }
 
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
+    }
+
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
         if event.origin != CommandOrigin::Controller {
             return;
@@ -159,6 +169,10 @@ impl Cra {
 impl CommandObserver for Cra {
     fn name(&self) -> &'static str {
         "CRA"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
@@ -223,6 +237,10 @@ impl TrrSampler {
 impl CommandObserver for TrrSampler {
     fn name(&self) -> &'static str {
         "TRR-sampler"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
@@ -305,6 +323,10 @@ impl CommandObserver for InDramTrr {
         "in-DRAM TRR"
     }
 
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
+    }
+
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
         if event.origin != CommandOrigin::Controller {
             return;
@@ -325,10 +347,12 @@ impl CommandObserver for InDramTrr {
                 }
             }
             MemCommand::Ref { .. } => {
+                // The most-counted entry; a count tie goes to the smallest
+                // (bank, row), never to the table's hash order.
                 let candidate = self
                     .table
                     .iter()
-                    .max_by_key(|(_, &c)| c)
+                    .max_by(|(ka, ca), (kb, cb)| ca.cmp(cb).then(kb.cmp(ka)))
                     .filter(|(_, &c)| c >= self.fire_threshold)
                     .map(|(&k, _)| k);
                 if let Some((bank, row)) = candidate {
@@ -375,6 +399,10 @@ impl ParaLogicalGuess {
 impl CommandObserver for ParaLogicalGuess {
     fn name(&self) -> &'static str {
         "PARA (logical-adjacency guess)"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
@@ -443,6 +471,10 @@ impl OracleRh {
 impl CommandObserver for OracleRh {
     fn name(&self) -> &'static str {
         "OracleRH"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
@@ -620,6 +652,10 @@ impl CommandObserver for Graphene {
         "Graphene"
     }
 
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::DeviceOnly
+    }
+
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {
         if event.origin != CommandOrigin::Controller {
             return;
@@ -667,6 +703,15 @@ impl Stack {
 impl CommandObserver for Stack {
     fn name(&self) -> &'static str {
         "stack"
+    }
+
+    fn filter(&self) -> TraceFilter {
+        // An empty stack observes nothing, so any filter is sound.
+        self.children
+            .iter()
+            .map(|c| c.filter())
+            .reduce(TraceFilter::union)
+            .unwrap_or(TraceFilter::DeviceOnly)
     }
 
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>) {

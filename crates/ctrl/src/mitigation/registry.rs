@@ -437,6 +437,7 @@ impl MitigationSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceFilter;
 
     #[test]
     fn registry_names_are_unique_kebab_case() {
@@ -508,6 +509,7 @@ mod tests {
             let spec = MitigationSpec::parse(p.name).unwrap();
             let m = spec.build(1).unwrap();
             assert!(!m.name().is_empty(), "{}", p.name);
+            assert_eq!(m.filter(), TraceFilter::DeviceOnly, "{}", p.name);
         }
     }
 
@@ -518,6 +520,7 @@ mod tests {
         assert_eq!(spec.names(), vec!["para", "cra"]);
         let m = spec.build(9).unwrap();
         assert_eq!(m.name(), "stack");
+        assert_eq!(m.filter(), TraceFilter::DeviceOnly, "its children's union");
         assert!(m.storage_bits(1024, 2) > 0, "CRA's counters survive stacking");
     }
 

@@ -28,6 +28,7 @@ pub struct RefreshEngine {
     timing: Timing,
     rows: usize,
     multiplier: f64,
+    interval_ns: u64,
     cursor: usize,
     next_due_ns: u64,
     /// Completed full sweeps of the row space.
@@ -48,19 +49,19 @@ impl RefreshEngine {
         if multiplier <= 0.0 || multiplier.is_nan() {
             return Err(crate::CtrlError::InvalidConfig("multiplier must be > 0"));
         }
-        let e = Self {
+        let interval_ns = (timing.t_refw / multiplier / rows as f64) as u64;
+        if interval_ns == 0 {
+            return Err(crate::CtrlError::InvalidConfig("per-row interval rounds to zero"));
+        }
+        Ok(Self {
             timing,
             rows,
             multiplier,
+            interval_ns,
             cursor: 0,
-            next_due_ns: 0,
+            next_due_ns: interval_ns,
             windows_completed: 0,
-        };
-        if e.per_row_interval_ns() == 0 {
-            return Err(crate::CtrlError::InvalidConfig("per-row interval rounds to zero"));
-        }
-        let interval = e.per_row_interval_ns();
-        Ok(Self { next_due_ns: interval, ..e })
+        })
     }
 
     /// The refresh-rate multiplier.
@@ -70,7 +71,13 @@ impl RefreshEngine {
 
     /// Nanoseconds between consecutive row refreshes.
     pub fn per_row_interval_ns(&self) -> u64 {
-        (self.timing.t_refw / self.multiplier / self.rows as f64) as u64
+        self.interval_ns
+    }
+
+    /// When the next row comes due: [`Self::due_rows`] yields nothing
+    /// for any `now` before this time.
+    pub(crate) fn next_due_ns(&self) -> u64 {
+        self.next_due_ns
     }
 
     /// The effective refresh window (ns) seen by any single row.
@@ -115,7 +122,7 @@ impl Iterator for DueRows<'_> {
             self.engine.cursor = 0;
             self.engine.windows_completed += 1;
         }
-        self.engine.next_due_ns += self.engine.per_row_interval_ns();
+        self.engine.next_due_ns += self.engine.interval_ns;
         Some(row)
     }
 }
@@ -160,9 +167,12 @@ mod tests {
     fn due_rows_is_incremental() {
         let mut e = engine(1.0);
         let step = e.per_row_interval_ns();
+        assert_eq!(e.next_due_ns(), step);
+        assert_eq!(e.due_rows(step - 1).count(), 0, "nothing due yet");
         assert_eq!(e.due_rows(step).count(), 1);
         assert_eq!(e.due_rows(step).count(), 0, "already consumed");
         assert_eq!(e.due_rows(3 * step).count(), 2);
+        assert_eq!(e.next_due_ns(), 4 * step);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 use crate::error::CtrlError;
 use crate::stats::CtrlStats;
 use densemem_dram::{Module, Spd};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -224,6 +225,18 @@ pub trait CommandObserver: std::fmt::Debug + Send {
     /// Called for every event the controller emits.
     fn observe(&mut self, event: &TraceEvent, ctx: &mut ObserverCtx<'_>);
 
+    /// The origins this observer consumes. The controller skips
+    /// building an event whose origin no observer in its chain consumes;
+    /// an origin some observer consumes still reaches every observer,
+    /// so `observe` must ignore what its filter excludes. The default,
+    /// [`TraceFilter::All`], is always sound; mitigations, which act
+    /// only on derived device commands, narrow it to
+    /// [`TraceFilter::DeviceOnly`] so the request stream costs them
+    /// nothing.
+    fn filter(&self) -> TraceFilter {
+        TraceFilter::All
+    }
+
     /// Called when the refresh engine completes a full window sweep
     /// (counter-based mitigations reset here).
     fn on_window_reset(&mut self) {}
@@ -244,6 +257,9 @@ pub struct ObserverChain {
     /// (parallel to `observers`) — the per-plugin attribution the energy
     /// accounting reports.
     refreshes: Vec<u64>,
+    /// Whether any observer's [`CommandObserver::filter`] keeps each
+    /// origin, indexed by `origin as usize`.
+    consumes: [bool; 3],
 }
 
 impl ObserverChain {
@@ -254,6 +270,11 @@ impl ObserverChain {
 
     /// Appends an observer.
     pub fn push(&mut self, observer: Box<dyn CommandObserver>) {
+        use CommandOrigin::{Controller, Mitigation, Request};
+        let filter = observer.filter();
+        for origin in [Request, Controller, Mitigation] {
+            self.consumes[origin as usize] |= filter.keeps_origin(origin);
+        }
         self.observers.push(observer);
         self.refreshes.push(0);
     }
@@ -262,6 +283,12 @@ impl ObserverChain {
     pub fn clear(&mut self) {
         self.observers.clear();
         self.refreshes.clear();
+        self.consumes = [false; 3];
+    }
+
+    /// Whether any observer in the chain consumes events of `origin`.
+    pub(crate) fn consumes(&self, origin: CommandOrigin) -> bool {
+        self.consumes[origin as usize]
     }
 
     /// Whether the chain is empty.
@@ -324,10 +351,24 @@ pub enum TraceFilter {
 impl TraceFilter {
     /// Whether an event passes the filter.
     pub fn keeps(&self, event: &TraceEvent) -> bool {
+        self.keeps_origin(event.origin)
+    }
+
+    /// Whether events of `origin` pass the filter.
+    pub(crate) fn keeps_origin(&self, origin: CommandOrigin) -> bool {
         match self {
             TraceFilter::All => true,
-            TraceFilter::Requests => event.origin == CommandOrigin::Request,
-            TraceFilter::DeviceOnly => event.origin != CommandOrigin::Request,
+            TraceFilter::Requests => origin == CommandOrigin::Request,
+            TraceFilter::DeviceOnly => origin != CommandOrigin::Request,
+        }
+    }
+
+    /// The smallest filter keeping every event either filter keeps.
+    pub(crate) fn union(self, other: TraceFilter) -> TraceFilter {
+        if self == other {
+            self
+        } else {
+            TraceFilter::All
         }
     }
 
@@ -391,6 +432,10 @@ impl CommandObserver for TraceRecorder {
         if self.filter.keeps(event) {
             self.shared.lock().expect("recorder lock").push(*event);
         }
+    }
+
+    fn filter(&self) -> TraceFilter {
+        self.filter
     }
 }
 
@@ -521,18 +566,18 @@ impl Trace {
         let (n, header) = lines
             .next()
             .ok_or_else(|| parse_err(0, "empty trace"))?;
-        if field(header, "trace_version") != Some("1".to_owned()) {
+        if field(header, "trace_version").as_deref() != Some("1") {
             return Err(parse_err(n + 1, "missing or unsupported trace_version"));
         }
         // Every header field is required: a torn header line must fail
         // here, not parse to defaults.
-        let header_field = |key: &str| -> Result<String, CtrlError> {
+        let header_field = |key: &str| -> Result<Cow<'_, str>, CtrlError> {
             field(header, key)
                 .ok_or_else(|| parse_err(n + 1, &format!("header missing key {key:?}")))
         };
-        let label = header_field("label")?;
+        let label = header_field("label")?.into_owned();
         let seed = parse_u64(&header_field("seed")?).map_err(|m| parse_err(n + 1, &m))?;
-        let filter = match header_field("filter")?.as_str() {
+        let filter = match &*header_field("filter")? {
             "all" => TraceFilter::All,
             "requests" => TraceFilter::Requests,
             "device" => TraceFilter::DeviceOnly,
@@ -544,11 +589,11 @@ impl Trace {
         let mut events = Vec::new();
         for (i, line) in lines {
             let lineno = i + 1;
-            let need = |key: &str| -> Result<String, CtrlError> {
+            let need = |key: &str| -> Result<Cow<'_, str>, CtrlError> {
                 field(line, key).ok_or_else(|| parse_err(lineno, &format!("missing key {key:?}")))
             };
             let at_ns = parse_u64(&need("t")?).map_err(|m| parse_err(lineno, &m))?;
-            let origin = match need("o")?.as_str() {
+            let origin = match &*need("o")? {
                 "req" => CommandOrigin::Request,
                 "ctl" => CommandOrigin::Controller,
                 "mit" => CommandOrigin::Mitigation,
@@ -559,7 +604,7 @@ impl Trace {
             let word = || -> Result<usize, CtrlError> {
                 Ok(parse_u64(&need("w")?).map_err(|m| parse_err(lineno, &m))? as usize)
             };
-            let cmd = match need("c")?.as_str() {
+            let cmd = match &*need("c")? {
                 "act" => MemCommand::Act { bank, row },
                 "pre" => MemCommand::Pre { bank, row },
                 "ref" => MemCommand::Ref { bank, row },
@@ -618,15 +663,23 @@ fn escape(s: &str) -> String {
 
 /// Extracts the value of `"key":...` from one flat JSON object line.
 /// Values are either numbers/bools (read to the next `,`/`}`) or quoted
-/// strings (minimal unescaping of `\"` and `\\`).
-fn field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
+/// strings (minimal unescaping of `\"` and `\\`). The value borrows
+/// from `line` unless it is a string holding an escape.
+fn field<'a>(line: &'a str, key: &str) -> Option<Cow<'a, str>> {
+    // The first `"key":` in the line. `key` holds no quote, so a
+    // candidate that fails the check cannot overlap the real match.
+    let rest = line.match_indices(key).find_map(|(at, _)| {
+        let after = &line[at + key.len()..];
+        (line[..at].ends_with('"') && after.starts_with("\":")).then(|| &after[2..])
+    })?;
     let rest = rest.trim_start();
     if let Some(stripped) = rest.strip_prefix('"') {
-        let mut out = String::new();
-        let mut chars = stripped.chars();
+        let plain = stripped.find(['"', '\\'])?;
+        if stripped[plain..].starts_with('"') {
+            return Some(Cow::Borrowed(&stripped[..plain]));
+        }
+        let mut out = String::from(&stripped[..plain]);
+        let mut chars = stripped[plain..].chars();
         while let Some(c) = chars.next() {
             match c {
                 '\\' => match chars.next()? {
@@ -636,14 +689,14 @@ fn field(line: &str, key: &str) -> Option<String> {
                     't' => out.push('\t'),
                     other => out.push(other),
                 },
-                '"' => return Some(out),
+                '"' => return Some(Cow::Owned(out)),
                 c => out.push(c),
             }
         }
         None
     } else {
         let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().to_owned())
+        Some(Cow::Borrowed(rest[..end].trim()))
     }
 }
 
@@ -896,6 +949,30 @@ mod tests {
         assert!(TraceFilter::All.keeps(&req) && TraceFilter::All.keeps(&ctl));
         assert!(TraceFilter::Requests.keeps(&req) && !TraceFilter::Requests.keeps(&ctl));
         assert!(!TraceFilter::DeviceOnly.keeps(&req) && TraceFilter::DeviceOnly.keeps(&ctl));
+    }
+
+    #[test]
+    fn filter_union_keeps_what_either_keeps() {
+        use TraceFilter::{All, DeviceOnly, Requests};
+        assert_eq!(DeviceOnly.union(DeviceOnly), DeviceOnly);
+        assert_eq!(Requests.union(Requests), Requests);
+        assert_eq!(Requests.union(DeviceOnly), All);
+        assert_eq!(DeviceOnly.union(All), All);
+    }
+
+    #[test]
+    fn chain_tracks_the_origins_its_observers_consume() {
+        let mut chain = ObserverChain::new();
+        assert!(!chain.consumes(CommandOrigin::Controller));
+        chain.push(Box::new(TraceRecorder::new(16, TraceFilter::DeviceOnly)));
+        assert!(!chain.consumes(CommandOrigin::Request));
+        assert!(chain.consumes(CommandOrigin::Controller));
+        assert!(chain.consumes(CommandOrigin::Mitigation));
+        chain.push(Box::new(CommandLog::new(16)));
+        // The log keeps the default filter, so requests are consumed.
+        assert!(chain.consumes(CommandOrigin::Request));
+        chain.clear();
+        assert!(!chain.consumes(CommandOrigin::Controller));
     }
 
     #[test]
