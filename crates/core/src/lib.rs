@@ -62,7 +62,8 @@ pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 ///
 /// The hash is FNV-1a over the constants' IEEE-754 bit patterns in a
 /// fixed traversal order — stable across platforms and processes, unlike
-/// [`std::hash::DefaultHasher`].
+/// [`std::hash::DefaultHasher`]. The constants are fixed at compile
+/// time, so the digest is computed once per process and memoised.
 ///
 /// # Examples
 ///
@@ -72,6 +73,11 @@ pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// assert_eq!(a, b);
 /// ```
 pub fn calibration_fingerprint() -> u64 {
+    static FINGERPRINT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *FINGERPRINT.get_or_init(digest_calibration)
+}
+
+fn digest_calibration() -> u64 {
     use densemem_dram::{Manufacturer, Timing, VintageProfile};
     use densemem_stats::hash::Fnv1a;
 
@@ -112,6 +118,7 @@ mod lib_tests {
     fn calibration_fingerprint_is_stable_within_a_build() {
         let a = super::calibration_fingerprint();
         assert_eq!(a, super::calibration_fingerprint());
+        assert_eq!(a, super::digest_calibration(), "the memo holds the digest");
         assert_ne!(a, 0);
     }
 }

@@ -6,8 +6,12 @@
 //! nothing they don't (thread policy and trace directory deliberately
 //! excluded; the determinism contract makes them invisible).
 //!
-//! Tier 1 is [`MemLru`], a bounded in-memory map of rendered report
-//! payloads. Tier 2 is [`DiskStore`], one `<key>.entry` file per report:
+//! Tier 1 is [`MemLru`], a bounded in-memory map of reports rendered as
+//! result-frame tails ([`crate::proto::result_tail`]): the payload's
+//! hash and escaped bytes are computed once, when the report enters the
+//! tier, and the tail is shared by `Arc` with every job it answers, so
+//! a warm hit copies and re-renders nothing. Tier 2 is [`DiskStore`],
+//! one `<key>.entry` file per report:
 //! a single JSON header line (`{"v":1,"key":…,"fnv":…,"len":…}`) followed
 //! by the raw payload bytes. Reads re-hash the payload and compare
 //! against the header; any mismatch — truncation, bit rot, a partial
@@ -20,6 +24,7 @@ use densemem_stats::hash::fnv1a64;
 use std::collections::HashMap;
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Header-line format version for on-disk entries.
 const DISK_FORMAT_V: u64 = 1;
@@ -35,14 +40,15 @@ pub enum DiskRead {
     Corrupt(String),
 }
 
-/// A bounded in-memory LRU of rendered report payloads.
+/// A bounded in-memory LRU of reports, each held as its rendered
+/// result-frame tail.
 ///
 /// Recency is a monotone tick per access; eviction removes the smallest
 /// tick. With the small capacities a server uses (default 64) the O(n)
 /// eviction scan is noise next to the payloads themselves.
 #[derive(Debug)]
 pub struct MemLru {
-    entries: HashMap<String, (String, u64)>,
+    entries: HashMap<String, (Arc<str>, u64)>,
     capacity: usize,
     tick: u64,
 }
@@ -53,22 +59,25 @@ impl MemLru {
         Self { entries: HashMap::new(), capacity: capacity.max(1), tick: 0 }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<String> {
+    /// Looks up `key`, refreshing its recency on a hit. A hit is the
+    /// report's shared result-frame tail.
+    pub fn get(&mut self, key: &str) -> Option<Arc<str>> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.get_mut(key).map(|(payload, t)| {
+        self.entries.get_mut(key).map(|(tail, t)| {
             *t = tick;
-            payload.clone()
+            Arc::clone(tail)
         })
     }
 
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry if the cache is over capacity.
-    pub fn put(&mut self, key: &str, payload: String) {
+    /// Renders `payload`'s result-frame tail and inserts (or refreshes)
+    /// it under `key`, evicting the least-recently-used entry if the
+    /// cache is over capacity. Returns the tail the cache now shares.
+    pub fn put(&mut self, key: &str, payload: String) -> Arc<str> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.insert(key.to_owned(), (payload, tick));
+        let tail = crate::proto::result_tail(&payload);
+        self.entries.insert(key.to_owned(), (Arc::clone(&tail), tick));
         while self.entries.len() > self.capacity {
             let Some(oldest) =
                 self.entries.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| k.clone())
@@ -77,6 +86,7 @@ impl MemLru {
             };
             self.entries.remove(&oldest);
         }
+        tail
     }
 
     /// Number of live entries.
@@ -242,7 +252,8 @@ mod tests {
         let mut lru = MemLru::new(2);
         lru.put("a", "A".into());
         lru.put("b", "B".into());
-        assert_eq!(lru.get("a").as_deref(), Some("A")); // refresh a
+        let tail = lru.get("a").expect("a is resident"); // refresh a
+        assert_eq!(&*tail, &*crate::proto::result_tail("A"));
         lru.put("c", "C".into()); // evicts b, the stalest
         assert_eq!(lru.len(), 2);
         assert!(lru.contains("a"));

@@ -18,6 +18,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Read-buffer capacity: larger than a typical result frame, so one
+/// read usually takes a whole response in.
+const READ_BUF: usize = 64 << 10;
+
 /// Dialing policy: timeout per attempt, bounded retries, linear backoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectOpts {
@@ -88,7 +92,8 @@ impl TcpClient {
                     Ok(stream) => {
                         stream.set_nodelay(true)?;
                         let writer = stream.try_clone()?;
-                        return Ok(Self { reader: BufReader::new(stream), writer });
+                        let reader = BufReader::with_capacity(READ_BUF, stream);
+                        return Ok(Self { reader, writer });
                     }
                     Err(e) => last_err = Some(e),
                 }
@@ -107,14 +112,17 @@ impl TcpClient {
     }
 
     /// Writes one raw line (newline appended) and reads one response line.
+    /// The line and its newline go out in one write: with `TCP_NODELAY`
+    /// two writes would be two segments.
     ///
     /// # Errors
     ///
     /// I/O failures, or an unexpected EOF before the response line.
     pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -123,7 +131,9 @@ impl TcpClient {
                 "server closed the connection before responding",
             ));
         }
-        Ok(response.trim_end_matches(['\r', '\n']).to_owned())
+        let len = response.trim_end_matches(['\r', '\n']).len();
+        response.truncate(len);
+        Ok(response)
     }
 
     /// Sends a structured request.

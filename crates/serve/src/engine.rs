@@ -7,7 +7,8 @@
 //!
 //! A `submit` resolves in tier order:
 //!
-//! 1. **Memory LRU** — rendered payload resident; answered immediately.
+//! 1. **Memory LRU** — the report's rendered result-frame tail is
+//!    resident; answered immediately with a per-job header in front.
 //! 2. **Disk store** — hash-verified entry; promoted to memory. A
 //!    corrupt entry is deleted, counted, and falls through to recompute.
 //! 3. **Single-flight dedup** — an identical computation already queued
@@ -18,6 +19,12 @@
 //!
 //! Experiment panics are caught in the job closure and surface as typed
 //! `job-failed` frames; the pool thread survives.
+//!
+//! The job table is bounded: it keeps at most [`JOB_RETENTION`] terminal
+//! jobs, evicting the one that finished first. A job a parked
+//! `wait`/`result` has not yet received is pinned and outlives the
+//! bound until its waiter collects or releases it. An evicted id
+//! answers `job-expired`; an id never issued answers `unknown-job`.
 
 use crate::cache::{DiskRead, DiskStore, MemLru};
 use crate::client::{ConnectOpts, TcpClient};
@@ -28,7 +35,7 @@ use densemem_stats::hash::fnv1a64;
 use densemem_stats::hist::Histogram;
 use densemem_stats::par::{ParConfig, WorkerPool};
 use densemem_stats::ring::HashRing;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,6 +44,11 @@ use std::time::{Duration, Instant};
 
 /// How long a `wait`/`result` request blocks before a `timeout` frame.
 pub const RESULT_WAIT: Duration = Duration::from_secs(600);
+
+/// How many terminal jobs the job table keeps. Older ones are evicted,
+/// first finished first, unless a parked waiter pins them; their ids
+/// then answer `job-expired`.
+pub const JOB_RETENTION: usize = 4096;
 
 /// Which tier answered a submit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +136,9 @@ pub enum Step {
     /// The response frame is ready now.
     Reply(String),
     /// The response is a result frame for this job, not yet terminal.
-    /// Poll [`Engine::try_result_frame`] after a completion-hook wake.
+    /// The job is pinned in the job table until the caller takes the
+    /// frame with [`Engine::collect_result`] (after a completion-hook
+    /// wake) or gives up on it with [`Engine::release`].
     Pending(u64),
 }
 
@@ -133,15 +147,29 @@ pub enum Step {
 enum JobState {
     Queued,
     Running,
-    Done { payload: Arc<String>, wall_ms: f64 },
+    /// `tail` is the report's result-frame tail, shared with the memory
+    /// tier ([`proto::result_tail`]).
+    Done { tail: Arc<str>, wall_ms: f64 },
     Failed { msg: String },
     Cancelled,
+}
+
+impl JobState {
+    fn is_terminal(&self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
 }
 
 struct JobRecord {
     exp_id: &'static str,
     tier: CacheTier,
     state: JobState,
+    /// Parked `wait`/`result` requests that have not received this
+    /// job's result frame yet. A job with waiters is never evicted.
+    waiters: u32,
+    /// Past the retention bound while pinned: removed when its last
+    /// waiter collects or releases it.
+    expired: bool,
 }
 
 struct Inflight {
@@ -160,10 +188,82 @@ enum Origin {
 struct EngineState {
     mem: MemLru,
     jobs: HashMap<u64, JobRecord>,
+    /// Ids of the terminal jobs in `jobs` that count toward
+    /// [`JOB_RETENTION`], first finished first.
+    retired: VecDeque<u64>,
     inflight: HashMap<String, Inflight>,
     latency: HashMap<&'static str, Histogram>,
     next_job: u64,
     draining: bool,
+}
+
+impl EngineState {
+    /// Allocates the next job id and enters its record, pinned once
+    /// when a waiter will collect its result frame.
+    fn admit(&mut self, exp_id: &'static str, tier: CacheTier, state: JobState, pin: bool) -> u64 {
+        self.next_job += 1;
+        let job = self.next_job;
+        let terminal = state.is_terminal();
+        self.jobs.insert(
+            job,
+            JobRecord { exp_id, tier, state, waiters: u32::from(pin), expired: false },
+        );
+        if terminal {
+            self.retire(job);
+        }
+        job
+    }
+
+    /// Moves a queued or running job to a terminal state. A job that is
+    /// already terminal (a cancelled leader) keeps its state. Returns
+    /// whether the job changed.
+    fn finish(&mut self, job: u64, state: JobState) -> bool {
+        match self.jobs.get_mut(&job) {
+            Some(r) if !r.state.is_terminal() => {
+                r.state = state;
+                self.retire(job);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Counts a newly terminal job toward the retention bound, evicting
+    /// the oldest terminal jobs beyond it. A pinned job is only marked:
+    /// [`EngineState::unpin`] removes it once its last waiter is served.
+    fn retire(&mut self, job: u64) {
+        self.retired.push_back(job);
+        while self.retired.len() > JOB_RETENTION {
+            let Some(old) = self.retired.pop_front() else { break };
+            match self.jobs.get_mut(&old) {
+                Some(r) if r.waiters > 0 => r.expired = true,
+                _ => {
+                    self.jobs.remove(&old);
+                }
+            }
+        }
+    }
+
+    /// Drops one waiter's pin on `job`.
+    fn unpin(&mut self, job: u64) {
+        if let Some(r) = self.jobs.get_mut(&job) {
+            r.waiters = r.waiters.saturating_sub(1);
+            if r.waiters == 0 && r.expired {
+                self.jobs.remove(&job);
+            }
+        }
+    }
+
+    /// The error for an id the job table does not hold: `job-expired`
+    /// when this engine issued it, `unknown-job` when it never did.
+    fn missing(&self, job: u64) -> ProtoError {
+        let code = if (1..=self.next_job).contains(&job) {
+            ErrorCode::JobExpired
+        } else {
+            ErrorCode::UnknownJob
+        };
+        ProtoError::new(code, format!("job {job}"))
+    }
 }
 
 /// Monotone counters, readable without the state lock.
@@ -267,6 +367,7 @@ impl Engine {
                 Mutex::new(EngineState {
                     mem: MemLru::new(cfg.mem_entries),
                     jobs: HashMap::new(),
+                    retired: VecDeque::new(),
                     inflight: HashMap::new(),
                     latency: HashMap::new(),
                     next_job: 0,
@@ -318,8 +419,8 @@ impl Engine {
     /// The non-blocking variant of [`Engine::handle`], for the
     /// event-loop transport: a request whose answer is not ready yet
     /// comes back as [`Step::Pending`] instead of parking the caller.
-    /// The caller polls [`Engine::try_result_frame`] when the
-    /// completion hook fires (or on its own timeout policy).
+    /// The caller polls [`Engine::collect_result`] when the completion
+    /// hook fires, and calls [`Engine::release`] if it gives up first.
     pub fn handle_step(&self, line: &str) -> Step {
         let req = match Request::from_line(line) {
             Ok(r) => r,
@@ -332,7 +433,7 @@ impl Engine {
             Verb::Submit => {
                 self.counters.submits.fetch_add(1, Ordering::Relaxed);
                 match self.submit(&req) {
-                    Ok((job, _)) if req.wait => match self.try_result_frame(job) {
+                    Ok((job, _)) if req.wait => match self.collect_result(job) {
                         Some(frame) => Step::Reply(frame),
                         None => Step::Pending(job),
                     },
@@ -350,11 +451,7 @@ impl Engine {
             }
             Verb::Result => {
                 self.counters.results.fetch_add(1, Ordering::Relaxed);
-                let job = req.job.expect("parser enforces job");
-                match self.try_result_frame(job) {
-                    Some(frame) => Step::Reply(frame),
-                    None => Step::Pending(job),
-                }
+                self.result_step(req.job.expect("parser enforces job"))
             }
             Verb::Cancel => {
                 self.counters.cancels.fetch_add(1, Ordering::Relaxed);
@@ -376,13 +473,14 @@ impl Engine {
     }
 
     /// Submits a request, returning `(job id, tier)` or a protocol error.
+    /// A `wait`ing submit's job is pinned for [`Engine::collect_result`].
     ///
     /// # Errors
     ///
     /// `unknown-experiment` for ids outside the registry, `bad-field` for
     /// a mitigation spec the plugin registry rejects, and `shutting-down`
     /// once draining has begun.
-    pub fn submit(&self, req: &Request) -> Result<(u64, CacheTier), ProtoError> {
+    fn submit(&self, req: &Request) -> Result<(u64, CacheTier), ProtoError> {
         let exp_arg = req.exp.as_deref().unwrap_or("");
         let Some(exp) = registry::find(exp_arg) else {
             return Err(ProtoError::new(
@@ -441,26 +539,19 @@ impl Engine {
             None => None,
         };
 
-        let (lock, cv) = &*self.state;
+        let (lock, _) = &*self.state;
         let mut st = lock.lock().expect("engine state lock");
         if st.draining {
             return Err(ProtoError::new(ErrorCode::ShuttingDown, "no new work accepted"));
         }
-        st.next_job += 1;
-        let job = st.next_job;
+        // A hit is terminal on arrival, so no thread can be waiting on
+        // its (brand-new) job id: hits skip the condvar wake.
 
         // Tier 1: memory.
-        if let Some(payload) = st.mem.get(&key) {
+        if let Some(tail) = st.mem.get(&key) {
             self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
-            st.jobs.insert(
-                job,
-                JobRecord {
-                    exp_id: exp.id,
-                    tier: CacheTier::Mem,
-                    state: JobState::Done { payload: Arc::new(payload), wall_ms: 0.0 },
-                },
-            );
-            cv.notify_all();
+            let done = JobState::Done { tail, wall_ms: 0.0 };
+            let job = st.admit(exp.id, CacheTier::Mem, done, req.wait);
             return Ok((job, CacheTier::Mem));
         }
 
@@ -469,16 +560,9 @@ impl Engine {
             match disk.get(&key) {
                 DiskRead::Hit(payload) => {
                     self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    st.mem.put(&key, payload.clone());
-                    st.jobs.insert(
-                        job,
-                        JobRecord {
-                            exp_id: exp.id,
-                            tier: CacheTier::Disk,
-                            state: JobState::Done { payload: Arc::new(payload), wall_ms: 0.0 },
-                        },
-                    );
-                    cv.notify_all();
+                    let tail = st.mem.put(&key, payload);
+                    let done = JobState::Done { tail, wall_ms: 0.0 };
+                    let job = st.admit(exp.id, CacheTier::Disk, done, req.wait);
                     return Ok((job, CacheTier::Disk));
                 }
                 DiskRead::Corrupt(_) => {
@@ -489,13 +573,10 @@ impl Engine {
         }
 
         // Tier 3: single-flight — coalesce onto an identical in-flight run.
-        if let Some(inflight) = st.inflight.get_mut(&key) {
-            inflight.followers.push(job);
+        if st.inflight.contains_key(&key) {
+            let job = st.admit(exp.id, CacheTier::Dedup, JobState::Queued, req.wait);
+            st.inflight.get_mut(&key).expect("checked above").followers.push(job);
             self.counters.dedups.fetch_add(1, Ordering::Relaxed);
-            st.jobs.insert(
-                job,
-                JobRecord { exp_id: exp.id, tier: CacheTier::Dedup, state: JobState::Queued },
-            );
             return Ok((job, CacheTier::Dedup));
         }
 
@@ -531,8 +612,7 @@ impl Engine {
             }
         };
         st.inflight.insert(key.clone(), Inflight { followers: Vec::new() });
-        st.jobs
-            .insert(job, JobRecord { exp_id: exp.id, tier: CacheTier::Miss, state: JobState::Queued });
+        let job = st.admit(exp.id, CacheTier::Miss, JobState::Queued, req.wait);
         drop(st);
 
         let state = Arc::clone(&self.state);
@@ -547,7 +627,11 @@ impl Engine {
             // The pool began draining between our check and the submit.
             let (lock, cv) = &*self.state;
             let mut st = lock.lock().expect("engine state lock");
-            Self::resolve(&mut st, job, JobState::Failed { msg: "pool shut down".into() });
+            st.finish(job, JobState::Failed { msg: "pool shut down".into() });
+            if req.wait {
+                // The caller gets this error, never the job's frame.
+                st.unpin(job);
+            }
             cv.notify_all();
             fire_hook(&self.hook, &[job]);
             return Err(ProtoError::new(ErrorCode::ShuttingDown, "worker pool is draining"));
@@ -560,9 +644,15 @@ impl Engine {
             ScaleArg::Quick => Scale::Quick,
             ScaleArg::Full => Scale::Full,
         };
-        let mut ctx = ExpContext::new(scale)
-            .with_seed(req.seed.unwrap_or(densemem::DEFAULT_SEED))
-            .with_par(self.job_par);
+        // Built field by field: `ExpContext::new` would read the thread
+        // policy from the environment only for `job_par` to replace it.
+        let mut ctx = ExpContext {
+            scale,
+            seed: req.seed.unwrap_or(densemem::DEFAULT_SEED),
+            par: self.job_par,
+            trace_dir: None,
+            mitigation: None,
+        };
         if let Some(spec) = &req.mitigation {
             // Canonicalised here so that `para` and `para:p=0.001` share a
             // cache key while genuinely different defenses never alias.
@@ -626,25 +716,20 @@ impl Engine {
             match Self::peer_fill(addr, line) {
                 Ok((payload, wall_ms)) => {
                     counters.peer_fills.fetch_add(1, Ordering::Relaxed);
-                    let payload = Arc::new(payload);
                     let mut st = lock.lock().expect("engine state lock");
-                    st.mem.put(key, (*payload).clone());
+                    let tail = st.mem.put(key, payload);
                     let followers =
                         st.inflight.remove(key).map(|f| f.followers).unwrap_or_default();
-                    let done = JobState::Done { payload, wall_ms };
+                    let done = JobState::Done { tail, wall_ms };
                     let mut resolved = Vec::with_capacity(1 + followers.len());
-                    if !matches!(
-                        st.jobs.get(&job).map(|r| &r.state),
-                        Some(JobState::Cancelled)
-                    ) {
-                        if let Some(r) = st.jobs.get_mut(&job) {
-                            r.tier = CacheTier::Peer;
-                        }
-                        Self::resolve(&mut st, job, done.clone());
+                    if let Some(r) = st.jobs.get_mut(&job).filter(|r| !r.state.is_terminal()) {
+                        r.tier = CacheTier::Peer;
+                    }
+                    if st.finish(job, done.clone()) {
                         resolved.push(job);
                     }
                     for f in followers {
-                        Self::resolve(&mut st, f, done.clone());
+                        st.finish(f, done.clone());
                         resolved.push(f);
                     }
                     drop(st);
@@ -677,9 +762,8 @@ impl Engine {
                     let _ = disk.put(key, &payload);
                 }
                 let wall_ms = wall_secs * 1e3;
-                let payload = Arc::new(payload);
                 let mut st = lock.lock().expect("engine state lock");
-                st.mem.put(key, (*payload).clone());
+                let tail = st.mem.put(key, payload);
                 st.latency
                     .entry(exp.id)
                     .or_insert_with(|| {
@@ -688,16 +772,15 @@ impl Engine {
                     .record(wall_ms);
                 let followers =
                     st.inflight.remove(key).map(|f| f.followers).unwrap_or_default();
-                let done = JobState::Done { payload, wall_ms };
+                let done = JobState::Done { tail, wall_ms };
                 let mut resolved = Vec::with_capacity(1 + followers.len());
                 // A cancelled leader keeps its Cancelled state; the
                 // computation still feeds its followers and the caches.
-                if !matches!(st.jobs.get(&job).map(|r| &r.state), Some(JobState::Cancelled)) {
-                    Self::resolve(&mut st, job, done.clone());
+                if st.finish(job, done.clone()) {
                     resolved.push(job);
                 }
                 for f in followers {
-                    Self::resolve(&mut st, f, done.clone());
+                    st.finish(f, done.clone());
                     resolved.push(f);
                 }
                 drop(st);
@@ -716,9 +799,9 @@ impl Engine {
                     st.inflight.remove(key).map(|f| f.followers).unwrap_or_default();
                 let failed = JobState::Failed { msg };
                 let mut resolved = vec![job];
-                Self::resolve(&mut st, job, failed.clone());
+                st.finish(job, failed.clone());
                 for f in followers {
-                    Self::resolve(&mut st, f, failed.clone());
+                    st.finish(f, failed.clone());
                     resolved.push(f);
                 }
                 drop(st);
@@ -755,23 +838,39 @@ impl Engine {
         Ok((payload, wall_ms))
     }
 
-    fn resolve(st: &mut EngineState, job: u64, state: JobState) {
-        if let Some(r) = st.jobs.get_mut(&job) {
-            if !matches!(r.state, JobState::Cancelled) {
-                r.state = state;
-            }
+    /// The `result` verb: the frame if `job` is terminal (or no longer
+    /// held), else [`Step::Pending`] with the job pinned for the caller.
+    fn result_step(&self, job: u64) -> Step {
+        let (lock, _) = &*self.state;
+        let mut st = lock.lock().expect("engine state lock");
+        if let Some(frame) = Self::terminal_frame(&st, job) {
+            return Step::Reply(frame);
         }
+        if let Some(r) = st.jobs.get_mut(&job) {
+            r.waiters += 1;
+        }
+        Step::Pending(job)
     }
 
-    /// Renders `job`'s result frame if the job is terminal — done,
-    /// failed, cancelled, or unknown (that last is terminal too: an
-    /// `unknown-job` error frame). Returns `None` while the job is
-    /// still queued or running; the event-loop transport re-polls after
-    /// a completion-hook wake instead of blocking here.
-    pub fn try_result_frame(&self, job: u64) -> Option<String> {
+    /// For a job handed out as [`Step::Pending`]: renders its result
+    /// frame once the job is terminal and drops the waiter's pin.
+    /// Returns `None` (pin kept) while the job is still queued or
+    /// running; the event-loop transport re-polls after a
+    /// completion-hook wake instead of blocking here.
+    pub fn collect_result(&self, job: u64) -> Option<String> {
         let (lock, _) = &*self.state;
-        let st = lock.lock().expect("engine state lock");
-        Self::terminal_frame(&st, job)
+        let mut st = lock.lock().expect("engine state lock");
+        let frame = Self::terminal_frame(&st, job)?;
+        st.unpin(job);
+        Some(frame)
+    }
+
+    /// Gives up on a job handed out as [`Step::Pending`] without taking
+    /// its frame (a timeout, a dropped connection): drops the waiter's
+    /// pin, so the job becomes evictable.
+    pub fn release(&self, job: u64) {
+        let (lock, _) = &*self.state;
+        lock.lock().expect("engine state lock").unpin(job);
     }
 
     /// Renders the timeout error frame the blocking path and the event
@@ -779,6 +878,10 @@ impl Engine {
     pub fn timeout_frame(&self, job: u64, patience: Duration) -> String {
         let (lock, _) = &*self.state;
         let st = lock.lock().expect("engine state lock");
+        Self::timeout_error(&st, job, patience)
+    }
+
+    fn timeout_error(st: &EngineState, job: u64, patience: Duration) -> String {
         let state = st.jobs.get(&job).map_or("unknown", |r| state_str(&r.state));
         proto::error_frame(&ProtoError::new(
             ErrorCode::Timeout,
@@ -786,27 +889,25 @@ impl Engine {
         ))
     }
 
+    /// Renders `job`'s result frame if the job is terminal — done,
+    /// failed, cancelled, or no longer held (an `unknown-job` or
+    /// `job-expired` error frame). `None` while it is queued or running.
     fn terminal_frame(st: &EngineState, job: u64) -> Option<String> {
         match st.jobs.get(&job) {
-            None => Some(proto::error_frame(&ProtoError::new(
-                ErrorCode::UnknownJob,
-                format!("job {job}"),
-            ))),
+            None => Some(proto::error_frame(&st.missing(job))),
             Some(r) => match &r.state {
-                JobState::Done { payload, wall_ms } => {
-                    let mut s = format!(
-                        "{{\"v\":{},\"ok\":true,\"type\":\"result\",\"job\":{job},\"exp\":\"{}\",\"cache\":\"{}\"",
+                JobState::Done { tail, wall_ms } => {
+                    // The per-job header; the shared tail carries the
+                    // hashed, escaped payload and closes the frame.
+                    let mut s = String::with_capacity(128 + tail.len());
+                    let _ = write!(
+                        s,
+                        "{{\"v\":{},\"ok\":true,\"type\":\"result\",\"job\":{job},\"exp\":\"{}\",\"cache\":\"{}\",\"wall_ms\":{wall_ms:.3}",
                         proto::PROTO_VERSION,
                         r.exp_id,
                         r.tier.as_str()
                     );
-                    let _ = write!(s, ",\"wall_ms\":{wall_ms:.3}");
-                    let _ = write!(
-                        s,
-                        ",\"payload_fnv\":\"{:016x}\",\"payload\":\"{}\"}}",
-                        fnv1a64(payload.as_bytes()),
-                        proto::escape(payload)
-                    );
+                    s.push_str(tail);
                     Some(s)
                 }
                 JobState::Failed { msg } => Some(proto::error_frame(&ProtoError::new(
@@ -822,23 +923,22 @@ impl Engine {
         }
     }
 
-    /// Blocks until `job` leaves the queued/running states, then renders
-    /// its terminal frame.
+    /// Blocks until the pinned `job` leaves the queued/running states,
+    /// then renders its terminal frame and drops the pin.
     fn result_frame(&self, job: u64, patience: Duration) -> String {
         let deadline = Instant::now() + patience;
         let (lock, cv) = &*self.state;
         let mut st = lock.lock().expect("engine state lock");
         loop {
             if let Some(frame) = Self::terminal_frame(&st, job) {
+                st.unpin(job);
                 return frame;
             }
             let now = Instant::now();
             if now >= deadline {
-                let state = st.jobs.get(&job).map_or("unknown", |r| state_str(&r.state));
-                return proto::error_frame(&ProtoError::new(
-                    ErrorCode::Timeout,
-                    format!("job {job} still {state} after {patience:?}"),
-                ));
+                let frame = Self::timeout_error(&st, job, patience);
+                st.unpin(job);
+                return frame;
             }
             let (next, _) = cv.wait_timeout(st, deadline - now).expect("engine state lock");
             st = next;
@@ -849,9 +949,7 @@ impl Engine {
         let (lock, _) = &*self.state;
         let st = lock.lock().expect("engine state lock");
         match st.jobs.get(&job) {
-            None => {
-                proto::error_frame(&ProtoError::new(ErrorCode::UnknownJob, format!("job {job}")))
-            }
+            None => proto::error_frame(&st.missing(job)),
             Some(r) => format!(
                 "{{\"v\":{},\"ok\":true,\"type\":\"status\",\"job\":{job},\"exp\":\"{}\",\"state\":\"{}\",\"cache\":\"{}\"}}",
                 proto::PROTO_VERSION,
@@ -865,40 +963,24 @@ impl Engine {
     fn cancel_frame(&self, job: u64) -> String {
         let (lock, cv) = &*self.state;
         let mut st = lock.lock().expect("engine state lock");
-        let frame = match st.jobs.get_mut(&job) {
-            None => {
-                proto::error_frame(&ProtoError::new(ErrorCode::UnknownJob, format!("job {job}")))
-            }
-            Some(r) => {
-                let cancelled = match r.state {
-                    // Only not-yet-terminal jobs can be cancelled; a
-                    // running computation is allowed to finish (its result
-                    // still feeds the caches) but this job stops caring.
-                    JobState::Queued | JobState::Running => {
-                        r.state = JobState::Cancelled;
-                        true
-                    }
-                    _ => false,
-                };
-                if cancelled {
-                    // Cancellation is a terminal transition: wake any
-                    // event-loop waiter parked on this job.
-                    drop(st);
-                    cv.notify_all();
-                    fire_hook(&self.hook, &[job]);
-                    return format!(
-                        "{{\"v\":{},\"ok\":true,\"type\":\"cancelled\",\"job\":{job},\"did_cancel\":true}}",
-                        proto::PROTO_VERSION
-                    );
-                }
-                format!(
-                    "{{\"v\":{},\"ok\":true,\"type\":\"cancelled\",\"job\":{job},\"did_cancel\":false}}",
-                    proto::PROTO_VERSION
-                )
-            }
-        };
-        cv.notify_all();
-        frame
+        if !st.jobs.contains_key(&job) {
+            return proto::error_frame(&st.missing(job));
+        }
+        // Only not-yet-terminal jobs can be cancelled; a running
+        // computation is allowed to finish (its result still feeds the
+        // caches) but this job stops caring.
+        let did_cancel = st.finish(job, JobState::Cancelled);
+        drop(st);
+        if did_cancel {
+            // Cancellation is a terminal transition: wake any waiter
+            // parked on this job.
+            cv.notify_all();
+            fire_hook(&self.hook, &[job]);
+        }
+        format!(
+            "{{\"v\":{},\"ok\":true,\"type\":\"cancelled\",\"job\":{job},\"did_cancel\":{did_cancel}}}",
+            proto::PROTO_VERSION
+        )
     }
 
     fn stats_frame(&self) -> String {

@@ -18,15 +18,17 @@
 //!   crate's own strict JSON reader (deliberately not the dev-only
 //!   testkit parser: a serving binary must never pull in the
 //!   fault-injection feature edges).
-//! * [`cache`] — in-memory LRU over hash-verified on-disk entries;
-//!   corruption is detected, deleted, and recomputed, never served.
-//! * [`engine`] — job lifecycle, single-flight dedup of identical
-//!   in-flight requests, per-verb counters and latency histograms, and
-//!   fleet routing: in sharded mode a consistent-hash ring
-//!   ([`densemem_stats::ring::HashRing`]) over the cache key decides
-//!   which shard owns a computation, non-owned keys are forwarded one
-//!   hop to the owner (peer cache-fill), and an unreachable owner
-//!   degrades to a local compute — never a client error.
+//! * [`cache`] — in-memory LRU of rendered result-frame tails over
+//!   hash-verified on-disk entries; corruption is detected, deleted, and
+//!   recomputed, never served.
+//! * [`engine`] — job lifecycle with a bounded job table, single-flight
+//!   dedup of identical in-flight requests, per-verb counters and
+//!   latency histograms, and fleet routing: in sharded mode a
+//!   consistent-hash ring ([`densemem_stats::ring::HashRing`]) over the
+//!   cache key decides which shard owns a computation, non-owned keys
+//!   are forwarded one hop to the owner (peer cache-fill), and an
+//!   unreachable owner degrades to a local compute — never a client
+//!   error.
 //! * [`server`] / [`client`] — the TCP transport (a `poll(2)` readiness
 //!   event loop holding every connection in one thread) and its
 //!   counterpart (tolerant dialing: connect timeout plus one bounded
@@ -47,7 +49,9 @@ pub mod server;
 
 pub use cache::{DiskRead, DiskStore, MemLru};
 pub use client::{ConnectOpts, TcpClient};
-pub use engine::{CacheTier, Engine, EngineConfig, FleetConfig, Step, TransportGauges};
+pub use engine::{
+    CacheTier, Engine, EngineConfig, FleetConfig, Step, TransportGauges, JOB_RETENTION,
+};
 pub use fleet::LocalFleet;
 pub use proto::{ErrorCode, ProtoError, Request, ScaleArg, Verb, PROTO_VERSION};
 pub use server::Server;

@@ -41,8 +41,11 @@ pub enum ErrorCode {
     BadField,
     /// The experiment id is not in the registry.
     UnknownExperiment,
-    /// The job id names no job this server knows.
+    /// The job id names no job this server ever issued.
     UnknownJob,
+    /// The job id was issued, but the job has since left the bounded
+    /// job table (see [`crate::engine::JOB_RETENTION`]).
+    JobExpired,
     /// The job was cancelled before it produced a result.
     JobCancelled,
     /// The job's computation failed (panic caught and reported).
@@ -73,6 +76,7 @@ impl ErrorCode {
             ErrorCode::BadField => "bad-field",
             ErrorCode::UnknownExperiment => "unknown-experiment",
             ErrorCode::UnknownJob => "unknown-job",
+            ErrorCode::JobExpired => "job-expired",
             ErrorCode::JobCancelled => "job-cancelled",
             ErrorCode::JobFailed => "job-failed",
             ErrorCode::Timeout => "timeout",
@@ -425,6 +429,18 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// The tail every result frame for `payload` ends with:
+/// `,"payload_fnv":"<16 hex>","payload":"<escaped>"}`. A result frame is
+/// its per-job header followed by this tail, so a report's tail is
+/// rendered once and shared by every frame that carries it.
+pub fn result_tail(payload: &str) -> std::sync::Arc<str> {
+    std::sync::Arc::from(format!(
+        ",\"payload_fnv\":\"{:016x}\",\"payload\":\"{}\"}}",
+        densemem_stats::hash::fnv1a64(payload.as_bytes()),
+        escape(payload)
+    ))
 }
 
 /// Builds a typed error frame.

@@ -17,10 +17,16 @@
 //! * a client that never reads accumulates its responses in its own
 //!   write buffer, up to a cap — everyone else's latency is untouched;
 //! * a client disconnecting mid-job abandons only its connection — the
-//!   job keeps running and its result still lands in the cache tiers;
+//!   job keeps running and its result still lands in the cache tiers,
+//!   and the connection's parked jobs are released to the job table's
+//!   retention bound;
 //! * the `shutdown` verb flips the engine to draining: the listener
 //!   closes immediately (port released), parked results finish
 //!   flushing, then `run` returns.
+//!
+//! A reply is written in the loop iteration that dispatched its request;
+//! a connection asks `poll` for writability only while the socket has
+//! refused part of its write buffer.
 //!
 //! Responses on one connection are written in *completion* order. The
 //! bundled client awaits each response before sending the next request,
@@ -231,7 +237,10 @@ impl Server {
                         if pfd.readable() && !conn.closing {
                             alive = read_ready(&engine, conn);
                         }
-                        if alive && pfd.writable() {
+                        // Replies dispatched just now go out in this
+                        // iteration; only a socket that refuses them
+                        // waits for POLLOUT.
+                        if alive && conn.unflushed() > 0 {
                             alive = flush(conn);
                         }
                         if !alive || conn.unflushed() > MAX_WBUF || conn.finished() {
@@ -251,11 +260,12 @@ impl Server {
                 let now = Instant::now();
                 let mut frames: Vec<String> = Vec::new();
                 conn.pending.retain(|p| {
-                    if let Some(frame) = engine.try_result_frame(p.job) {
+                    if let Some(frame) = engine.collect_result(p.job) {
                         frames.push(frame);
                         false
                     } else if now >= p.deadline {
                         frames.push(engine.timeout_frame(p.job, PENDING_PATIENCE));
+                        engine.release(p.job);
                         false
                     } else {
                         true
@@ -277,7 +287,11 @@ impl Server {
             dead.sort_unstable();
             dead.dedup();
             for fd in dead {
-                if conns.remove(&fd).is_some() {
+                if let Some(conn) = conns.remove(&fd) {
+                    // Results nobody will read no longer pin their jobs.
+                    for p in &conn.pending {
+                        engine.release(p.job);
+                    }
                     gauges.open_connections.fetch_sub(1, Ordering::Relaxed);
                 }
             }
@@ -346,6 +360,12 @@ fn read_ready(engine: &Engine, conn: &mut Conn) -> bool {
                     conn.queue_frame(&proto::error_frame(&err));
                     conn.rbuf.clear();
                     conn.closing = true;
+                    break;
+                }
+                // A short read drained the socket: the read after it
+                // would only say `WouldBlock`. Bytes (or EOF) arriving
+                // later keep the socket readable for the next poll.
+                if n < chunk.len() {
                     break;
                 }
             }

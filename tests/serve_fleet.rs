@@ -3,7 +3,8 @@
 //! properties pinned here are the serving layer's fleet contract:
 //!
 //! * any shard answers any key (forwarding non-owned keys one hop);
-//! * answers are byte-identical to a standalone engine's answers;
+//! * answers are byte-identical to a standalone engine's answers, and a
+//!   peer-filled result frame to one built from the owner's payload;
 //! * a second round through the same shard is all memory hits (peer
 //!   fills land in the asking shard's LRU);
 //! * a dead owner degrades to a local compute, never a client error;
@@ -47,6 +48,16 @@ fn seed_owned_by(exp: &str, owner: u32, base: u64) -> u64 {
     (base..base + 512)
         .find(|&s| owner_of(exp, s) == owner)
         .expect("512 consecutive seeds always span 3 shards")
+}
+
+/// A result frame built from its parts: the header the engine has
+/// always written, then the payload's FNV-1a64 and its escaped bytes.
+fn expected_frame(job: u64, exp: &str, tier: &str, wall_ms: f64, payload: &str) -> String {
+    format!(
+        "{{\"v\":1,\"ok\":true,\"type\":\"result\",\"job\":{job},\"exp\":\"{exp}\",\"cache\":\"{tier}\",\"wall_ms\":{wall_ms:.3},\"payload_fnv\":\"{:016x}\",\"payload\":\"{}\"}}",
+        densemem_stats::fnv1a64(payload.as_bytes()),
+        proto::escape(payload)
+    )
 }
 
 fn stats_num(addr: SocketAddr, key: &str) -> f64 {
@@ -186,5 +197,24 @@ fn misrouted_and_stale_forwards_get_wrong_shard_refusals() {
         Some(true),
         "{resp}"
     );
+    fleet.shutdown();
+}
+
+#[test]
+fn peer_filled_frame_is_built_from_the_owners_payload() {
+    let fleet = LocalFleet::spawn(SHARDS, &cfg()).expect("fleet");
+    let seed = seed_owned_by("E10", 1, SEED_BASE + 0x3000);
+    let mut c0 = TcpClient::connect(fleet.addrs()[0]).expect("connect shard 0");
+    let filled = c0.roundtrip(&submit_line("E10", seed)).expect("submit through shard 0");
+    let mut c1 = TcpClient::connect(fleet.addrs()[1]).expect("connect shard 1");
+    let owned = c1.roundtrip(&submit_line("E10", seed)).expect("submit to the owner");
+    let owned_doc = proto::parse(&owned).expect("owner's frame parses");
+    assert_eq!(field(&owned_doc, "cache").as_str(), Some("mem"), "{owned}");
+    let payload = field(&owned_doc, "payload").as_str().expect("payload");
+
+    let doc = proto::parse(&filled).expect("peer frame parses");
+    let job = field(&doc, "job").as_num().expect("job id") as u64;
+    let wall_ms = field(&doc, "wall_ms").as_num().expect("wall_ms");
+    assert_eq!(filled, expected_frame(job, "E10", "peer", wall_ms, payload));
     fleet.shutdown();
 }

@@ -4,7 +4,7 @@
 //! are cheap; isolation beats reuse).
 
 use densemem_serve::proto::{self, Value};
-use densemem_serve::{Engine, EngineConfig, Server, TcpClient};
+use densemem_serve::{Engine, EngineConfig, Server, TcpClient, JOB_RETENTION};
 use densemem_testkit::servefault;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 /// other suites running in parallel.
 const SEED_A: u64 = 0x5E12_0001;
 const SEED_B: u64 = 0x5E12_0002;
+const SEED_C: u64 = 0x5E12_0003;
 
 struct Daemon {
     addr: SocketAddr,
@@ -102,6 +103,22 @@ fn submit_status_result_cancel_round_trip() {
 fn typed_error_frames_for_bad_input() {
     let daemon = start(EngineConfig { workers: 1, ..Default::default() });
     let mut client = TcpClient::connect(daemon.addr).expect("connect");
+    // Job 1, then enough finished jobs after it to push it out of the
+    // bounded job table.
+    let cold = client
+        .roundtrip(&format!(
+            "{{\"v\":1,\"verb\":\"submit\",\"exp\":\"E10\",\"seed\":\"{SEED_C:#x}\",\"wait\":true}}"
+        ))
+        .expect("cold submit");
+    assert!(cold.contains("\"job\":1,"), "{cold}");
+    for _ in 0..JOB_RETENTION {
+        let warm = client
+            .roundtrip(&format!(
+                "{{\"v\":1,\"verb\":\"submit\",\"exp\":\"E10\",\"seed\":\"{SEED_C:#x}\"}}"
+            ))
+            .expect("warm submit");
+        assert!(warm.contains("\"cache\":\"mem\""), "{warm}");
+    }
     for (line, want) in [
         ("this is not json", "bad-frame"),
         ("{\"v\":1}", "missing-field"),
@@ -109,6 +126,7 @@ fn typed_error_frames_for_bad_input() {
         ("{\"v\":1,\"verb\":\"transmogrify\"}", "unknown-verb"),
         ("{\"v\":1,\"verb\":\"submit\",\"exp\":\"E99\"}", "unknown-experiment"),
         ("{\"v\":1,\"verb\":\"result\",\"job\":424242}", "unknown-job"),
+        ("{\"v\":1,\"verb\":\"status\",\"job\":1}", "job-expired"),
         ("{\"v\":1,\"verb\":\"submit\",\"exp\":\"E1\",\"seed\":\"0xzz\"}", "bad-field"),
     ] {
         let resp = client.roundtrip(line).expect("roundtrip");
@@ -116,9 +134,9 @@ fn typed_error_frames_for_bad_input() {
         assert_eq!(field(&doc, "ok").as_bool(), Some(false), "{line} → {resp}");
         assert_eq!(field(&doc, "code").as_str(), Some(want), "{line} → {resp}");
     }
-    // The connection survived all seven bad lines; five of them failed at
+    // The connection survived all eight bad lines; five of them failed at
     // the frame-parse layer and show up in the counter (the unknown
-    // experiment and unknown job were well-formed frames).
+    // experiment, unknown job and expired job were well-formed frames).
     let stats = client.stats().expect("stats");
     let doc = proto::parse(&stats).expect("stats frame parses");
     assert_eq!(field(&doc, "bad_frames").as_num(), Some(5.0), "{stats}");
