@@ -39,7 +39,9 @@
 use crate::kernels::{HammerPattern, KernelReport};
 use densemem_ctrl::{CtrlError, MemCommand, MemoryController};
 use densemem_stats::hash::Fnv1a;
+use densemem_stats::json::{escape, field, parse_u64};
 use rand::Rng;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Serialization format version (the `pattern_version` header field).
@@ -361,7 +363,7 @@ impl ShapedPattern {
     pub fn from_jsonl(text: &str) -> Result<Self, PatternError> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (n, header) = lines.next().ok_or_else(|| parse_err(1, "empty pattern"))?;
-        let header_field = |key: &str| -> Result<String, PatternError> {
+        let header_field = |key: &str| -> Result<Cow<'_, str>, PatternError> {
             field(header, key).ok_or_else(|| parse_err(n + 1, format!("header missing key {key:?}")))
         };
         if parse_u64(&header_field("pattern_version")?).map_err(|m| parse_err(n + 1, m))?
@@ -369,7 +371,7 @@ impl ShapedPattern {
         {
             return Err(parse_err(n + 1, "unsupported pattern_version"));
         }
-        let name = header_field("name")?;
+        let name = header_field("name")?.into_owned();
         let bank = parse_u64(&header_field("bank")?).map_err(|m| parse_err(n + 1, m))? as usize;
         let period = parse_u64(&header_field("period")?).map_err(|m| parse_err(n + 1, m))? as u32;
         let want_slots = parse_u64(&header_field("slots")?).map_err(|m| parse_err(n + 1, m))?;
@@ -678,63 +680,6 @@ impl PatternBuilder {
         h.write_u64(u64::from(self.act_budget.1));
         h.write_u64(u64::from(self.max_amplitude));
         h.finish()
-    }
-}
-
-/// Escapes a string for a JSON string literal (same subset as the trace
-/// writer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts the value of `"key":...` from one flat JSON object line
-/// (numbers read to the next `,`/`}`, strings minimally unescaped) —
-/// mirrors the trace parser's helper.
-fn field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let mut out = String::new();
-        let mut chars = stripped.chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '\\' => match chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    other => out.push(other),
-                },
-                '"' => return Some(out),
-                c => out.push(c),
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().to_owned())
-    }
-}
-
-fn parse_u64(v: &str) -> Result<u64, String> {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex value {v:?}: {e}"))
-    } else {
-        v.parse().map_err(|e| format!("bad value {v:?}: {e}"))
     }
 }
 

@@ -25,6 +25,7 @@
 
 use densemem::experiments::{registry, ExpContext, Experiment, ExperimentResult, Scale};
 use densemem::report::{json, render_csv};
+use densemem_stats::json::parse_u64;
 use std::path::PathBuf;
 
 /// Read-modify-write for a benchmark JSON artifact shared by several
@@ -37,10 +38,10 @@ use std::path::PathBuf;
 /// Unreadable or unparseable files are treated as absent: benchmarks
 /// must be able to regenerate their artifacts from scratch.
 pub fn merge_bench_json(path: &std::path::Path, section: &str, body: &str) -> String {
-    use densemem_serve::proto::{self, Value};
+    use densemem_stats::json::{parse, Value};
     let mut sections: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
     if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(Value::Obj(map)) = proto::parse(&text) {
+        if let Ok(Value::Obj(map)) = parse(&text) {
             if map.keys().any(|k| k.starts_with("serve_")) {
                 for (k, v) in &map {
                     sections.insert(k.clone(), v.render_json());
@@ -95,15 +96,6 @@ pub const USAGE: &str = "usage: exp [--quick] [--list] [--list-mitigations] [--o
 
 fn split_csv(v: &str) -> Vec<String> {
     v.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect()
-}
-
-fn parse_u64(v: &str) -> Result<u64, String> {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex value {v:?}: {e}"))
-    } else {
-        v.parse().map_err(|e| format!("bad value {v:?}: {e}"))
-    }
 }
 
 impl HarnessArgs {

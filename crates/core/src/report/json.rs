@@ -37,28 +37,9 @@
 //! emissions.
 
 use crate::experiments::{ExpContext, Experiment, ExperimentResult, Scale};
+use densemem_stats::json::escape;
 use densemem_stats::table::{Cell, Table};
 use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal (without the
-/// surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON value: a round-trippable number literal, or
 /// `null` for NaN/infinities (which JSON cannot represent).
@@ -189,14 +170,6 @@ mod tests {
     use super::*;
     use crate::experiments::{registry, ClaimCheck};
     use densemem_stats::series::Series;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\n\t\r"), "x\\n\\t\\r");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn number_is_json_safe() {

@@ -36,6 +36,7 @@
 use crate::error::CtrlError;
 use crate::stats::CtrlStats;
 use densemem_dram::{Module, Spd};
+use densemem_stats::json::{escape, field, parse_u64};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -632,72 +633,6 @@ impl Trace {
 
 fn parse_err(line: usize, reason: &str) -> CtrlError {
     CtrlError::TraceParse { line, reason: reason.to_owned() }
-}
-
-fn parse_u64(v: &str) -> Result<u64, String> {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex value {v:?}: {e}"))
-    } else {
-        v.parse().map_err(|e| format!("bad value {v:?}: {e}"))
-    }
-}
-
-/// Escapes a string for a JSON string literal (the small subset the
-/// trace writer needs; mirrors the core report conventions).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts the value of `"key":...` from one flat JSON object line.
-/// Values are either numbers/bools (read to the next `,`/`}`) or quoted
-/// strings (minimal unescaping of `\"` and `\\`). The value borrows
-/// from `line` unless it is a string holding an escape.
-fn field<'a>(line: &'a str, key: &str) -> Option<Cow<'a, str>> {
-    // The first `"key":` in the line. `key` holds no quote, so a
-    // candidate that fails the check cannot overlap the real match.
-    let rest = line.match_indices(key).find_map(|(at, _)| {
-        let after = &line[at + key.len()..];
-        (line[..at].ends_with('"') && after.starts_with("\":")).then(|| &after[2..])
-    })?;
-    let rest = rest.trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let plain = stripped.find(['"', '\\'])?;
-        if stripped[plain..].starts_with('"') {
-            return Some(Cow::Borrowed(&stripped[..plain]));
-        }
-        let mut out = String::from(&stripped[..plain]);
-        let mut chars = stripped[plain..].chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '\\' => match chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    other => out.push(other),
-                },
-                '"' => return Some(Cow::Owned(out)),
-                c => out.push(c),
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(Cow::Borrowed(rest[..end].trim()))
-    }
 }
 
 /// Report of one trace replay.

@@ -190,7 +190,7 @@ fn run_client(args: &[String]) -> i32 {
             },
             "--full" => scale = ScaleArg::Full,
             "--quick" => scale = ScaleArg::Quick,
-            "--seed" => match it.next().map(|v| parse_seed_arg(v)) {
+            "--seed" => match it.next().map(|v| densemem_stats::json::parse_u64(v)) {
                 Some(Ok(v)) => seed = Some(v),
                 _ => return usage_error("--seed needs a decimal or 0x-hex integer"),
             },
@@ -328,14 +328,6 @@ fn run_client(args: &[String]) -> i32 {
         }
     };
     render_response(&response, out.as_deref())
-}
-
-fn parse_seed_arg(s: &str) -> Result<u64, std::num::ParseIntError> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    }
 }
 
 /// Prints a human summary line; the payload goes to `--out` (or stdout).

@@ -14,10 +14,8 @@
 //!
 //! Layers, transport-independent first:
 //!
-//! * [`proto`] — frame grammar, verbs, typed error codes, and the
-//!   crate's own strict JSON reader (deliberately not the dev-only
-//!   testkit parser: a serving binary must never pull in the
-//!   fault-injection feature edges).
+//! * [`proto`] — frame grammar, verbs and typed error codes; frames
+//!   are read and written with [`densemem_stats::json`].
 //! * [`cache`] — in-memory LRU of rendered result-frame tails over
 //!   hash-verified on-disk entries; corruption is detected, deleted, and
 //!   recomputed, never served.

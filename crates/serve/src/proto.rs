@@ -14,13 +14,12 @@
 //! ← {"v":1,"ok":true,"type":"stats","queue_depth":0, …}
 //! ```
 //!
-//! The module also carries the protocol's own strict JSON reader — the
-//! serving crate is std-only and deliberately does *not* depend on the
-//! dev-only `densemem-testkit` parser, because that crate's dependency
-//! edges switch on the fault-injection features of the production model
-//! crates, which a serving binary must never compile in.
+//! Frames are read and written with [`densemem_stats::json`]; its
+//! [`parse`], [`Value`] and [`escape`] are re-exported here for callers
+//! that reach them through the protocol module.
 
-use std::collections::BTreeMap;
+use densemem_stats::json;
+pub use densemem_stats::json::{escape, parse, Value};
 use std::fmt::Write as _;
 
 /// The wire protocol version this build speaks.
@@ -259,7 +258,7 @@ impl Request {
             }
         }
         if let Some(v) = obj.get("seed") {
-            req.seed = Some(parse_seed(v)?);
+            req.seed = Some(u64_field("seed", v)?);
         }
         if let Some(v) = obj.get("priority") {
             match v {
@@ -298,35 +297,7 @@ impl Request {
             }
         }
         if let Some(v) = obj.get("epoch") {
-            match v {
-                // Epochs are FNV digests; the hex-string spelling covers
-                // the full u64 range (JSON numbers stop at 2^53).
-                Value::Str(s) => {
-                    let t = s.trim();
-                    let parsed = t
-                        .strip_prefix("0x")
-                        .or_else(|| t.strip_prefix("0X"))
-                        .map_or_else(|| t.parse(), |hex| u64::from_str_radix(hex, 16));
-                    match parsed {
-                        Ok(e) => req.epoch = Some(e),
-                        Err(e) => {
-                            return Err(ProtoError::new(
-                                ErrorCode::BadField,
-                                format!("\"epoch\" {t:?}: {e}"),
-                            ))
-                        }
-                    }
-                }
-                Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
-                    req.epoch = Some(*n as u64);
-                }
-                _ => {
-                    return Err(ProtoError::new(
-                        ErrorCode::BadField,
-                        "\"epoch\" must be a non-negative integer or a \"0x…\" string",
-                    ))
-                }
-            }
+            req.epoch = Some(u64_field("epoch", v)?);
         }
         if let Some(v) = obj.get("job") {
             match v {
@@ -391,44 +362,19 @@ impl Request {
     }
 }
 
-fn parse_seed(v: &Value) -> Result<u64, ProtoError> {
+/// Reads a `seed` or `epoch` field: a JSON integer, or a decimal or
+/// `"0x…"` string. Both are 64-bit (an epoch is an FNV digest), and only
+/// the string spelling covers the full range (JSON numbers stop at 2^53).
+fn u64_field(key: &str, v: &Value) -> Result<u64, ProtoError> {
     match v {
-        // Hex-string spelling survives all-numbers-are-f64 parsers and
-        // covers the full u64 range.
-        Value::Str(s) => {
-            let t = s.trim();
-            let parsed = if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16)
-            } else {
-                t.parse()
-            };
-            parsed.map_err(|e| ProtoError::new(ErrorCode::BadField, format!("\"seed\" {t:?}: {e}")))
-        }
+        Value::Str(s) => json::parse_u64(s)
+            .map_err(|e| ProtoError::new(ErrorCode::BadField, format!("{key:?}: {e}"))),
         Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => Ok(*n as u64),
         _ => Err(ProtoError::new(
             ErrorCode::BadField,
-            "\"seed\" must be a non-negative integer or a \"0x…\" string",
+            format!("{key:?} must be a non-negative integer or a \"0x…\" string"),
         )),
     }
-}
-
-/// Escapes a string for a JSON string literal (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The tail every result frame for `payload` ends with:
@@ -450,319 +396,6 @@ pub fn error_frame(err: &ProtoError) -> String {
         err.code,
         escape(&err.msg)
     )
-}
-
-// ---------------------------------------------------------------------------
-// The strict JSON reader.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number, read as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, keys sorted.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Member lookup that tolerates absence and non-objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean, if a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Renders the value back to compact JSON (object keys in sorted
-    /// order — the parse representation is a `BTreeMap`). `parse` ∘
-    /// `render_json` is the identity on the value, which is what the
-    /// benchmark harnesses need to read-modify-write their JSON
-    /// artifacts without a serializer dependency.
-    pub fn render_json(&self) -> String {
-        let mut s = String::new();
-        self.render_into(&mut s);
-        s
-    }
-
-    fn render_into(&self, s: &mut String) {
-        match self {
-            Value::Null => s.push_str("null"),
-            Value::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    let _ = write!(s, "{}", *n as i64);
-                } else {
-                    let _ = write!(s, "{n}");
-                }
-            }
-            Value::Str(t) => {
-                s.push('"');
-                s.push_str(&escape(t));
-                s.push('"');
-            }
-            Value::Arr(items) => {
-                s.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    v.render_into(s);
-                }
-                s.push(']');
-            }
-            Value::Obj(map) => {
-                s.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('"');
-                    s.push_str(&escape(k));
-                    s.push_str("\":");
-                    v.render_into(s);
-                }
-                s.push('}');
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document, rejecting trailing garbage.
-///
-/// # Errors
-///
-/// Returns a byte-offset-tagged message on malformed input.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err("unexpected end of input".to_owned());
-    };
-    match c {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
-        b'"' => Ok(Value::Str(parse_string(b, pos)?)),
-        b't' => parse_lit(b, pos, "true", Value::Bool(true)),
-        b'f' => parse_lit(b, pos, "false", Value::Bool(false)),
-        b'n' => parse_lit(b, pos, "null", Value::Null),
-        b'-' | b'0'..=b'9' => parse_num(b, pos),
-        other => Err(format!("unexpected byte {:?} at {}", other as char, *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "non-utf8 number".to_owned())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&c) = b.get(*pos) else {
-            return Err("unterminated string".to_owned());
-        };
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&e) = b.get(*pos) else {
-                    return Err("unterminated escape".to_owned());
-                };
-                *pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err("truncated \\u escape".to_owned());
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| "non-utf8 escape".to_owned())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        *pos += 4;
-                        // Surrogate pairs: decode the low half when present.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if b[*pos..].starts_with(b"\\u") && *pos + 6 <= b.len() {
-                                let lo_hex = std::str::from_utf8(&b[*pos + 2..*pos + 6])
-                                    .map_err(|_| "non-utf8 escape".to_owned())?;
-                                let lo = u32::from_str_radix(lo_hex, 16)
-                                    .map_err(|_| format!("bad \\u escape {lo_hex:?}"))?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("unpaired surrogate".to_owned());
-                                }
-                                *pos += 6;
-                                0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                return Err("unpaired surrogate".to_owned());
-                            }
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err("unpaired surrogate".to_owned());
-                        } else {
-                            cp
-                        };
-                        out.push(
-                            char::from_u32(ch).ok_or_else(|| "bad code point".to_owned())?,
-                        );
-                    }
-                    other => return Err(format!("bad escape \\{}", other as char)),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte {c:#04x} in string")),
-            c if c < 0x80 => out.push(c as char),
-            _ => {
-                // Multi-byte UTF-8: re-validate the sequence.
-                let start = *pos - 1;
-                let len = match c {
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => return Err("bad utf8 in string".to_owned()),
-                };
-                if start + len > b.len() {
-                    return Err("truncated utf8 in string".to_owned());
-                }
-                let s = std::str::from_utf8(&b[start..start + len])
-                    .map_err(|_| "bad utf8 in string".to_owned())?;
-                out.push_str(s);
-                *pos = start + len;
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        let val = parse_value(b, pos)?;
-        map.insert(key, val);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -840,30 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("{\"a\":1}").is_ok());
-        assert!(parse("{\"a\":1} extra").is_err());
-        assert!(parse("{\"a\":1,}").is_err());
-        assert!(parse("{'a':1}").is_err());
-        assert!(parse("{\"a\":NaN}").is_err());
-        assert!(parse("\"\\q\"").is_err());
-        assert!(parse("\"unterminated").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_escapes() {
-        let doc = parse(r#"{"a":[1,2.5,{"b":"x\ny"}],"c":null,"d":"\u00e9\ud83d\ude00"}"#).unwrap();
-        let a = match doc.get("a").unwrap() {
-            Value::Arr(v) => v,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(a[1].as_num(), Some(2.5));
-        assert_eq!(a[2].get("b").and_then(Value::as_str), Some("x\ny"));
-        assert_eq!(doc.get("d").and_then(Value::as_str), Some("é😀"));
-    }
-
-    #[test]
     fn forwarded_submit_round_trip() {
         let line = r#"{"v":1,"verb":"submit","exp":"E15","seed":"0x7","fwd":true,"epoch":"0xdeadbeefcafef00d"}"#;
         let req = Request::from_line(line).unwrap();
@@ -890,20 +499,6 @@ mod tests {
     fn fleet_error_codes_have_stable_spellings() {
         assert_eq!(ErrorCode::WrongShard.as_str(), "wrong-shard");
         assert_eq!(ErrorCode::PeerUnreachable.as_str(), "peer-unreachable");
-    }
-
-    #[test]
-    fn render_json_round_trips() {
-        for text in [
-            r#"{"a":[1,2.5,{"b":"x\ny"}],"c":null,"d":true}"#,
-            r#"{"serve_load":[{"fleet":1,"req_per_sec":12345.6}]}"#,
-            "[]",
-            r#""plain \"string\"""#,
-        ] {
-            let doc = parse(text).unwrap();
-            let rendered = doc.render_json();
-            assert_eq!(parse(&rendered).unwrap(), doc, "{text} → {rendered}");
-        }
     }
 
     #[test]

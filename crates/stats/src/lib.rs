@@ -3,8 +3,9 @@
 //! This crate keeps the rest of the workspace dependency-light: it provides
 //! deterministic RNG plumbing, the handful of continuous/discrete
 //! distributions the physical models need (implemented locally rather than
-//! pulling in `rand_distr`), histogram and summary-statistics types, and the
-//! plain-text table/series renderers used by the experiment harnesses.
+//! pulling in `rand_distr`), histogram and summary-statistics types, the
+//! plain-text table/series renderers used by the experiment harnesses, and
+//! the one JSON reader/writer every report, trace and frame goes through.
 //!
 //! # Examples
 //!
@@ -21,6 +22,7 @@
 pub mod dist;
 pub mod hash;
 pub mod hist;
+pub mod json;
 pub mod kernels;
 pub mod par;
 #[cfg(unix)]

@@ -12,8 +12,8 @@
 //! it happens to match a snapshot shape. Exits non-zero on any drift,
 //! printing per-cell diffs.
 
+use densemem_stats::json::parse;
 use densemem_testkit::golden;
-use densemem_testkit::json::parse;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
             failures += 1;
             continue;
         }
-        let id = doc.get("id").str().to_owned();
+        let id = doc["id"].as_str().unwrap_or("?").to_owned();
         match golden::check_or_update(&dir, &id, &text) {
             Ok(golden::GoldenOutcome::Matched) => checked += 1,
             Ok(golden::GoldenOutcome::Updated) => {

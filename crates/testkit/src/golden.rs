@@ -15,7 +15,7 @@
 //! noise. A float tolerance knob exists for callers that diff reports
 //! produced under intentionally different conditions.
 
-use crate::json::{parse, Value};
+use densemem_stats::json::{escape, parse, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -65,6 +65,19 @@ pub struct DiffEntry {
     pub actual: String,
 }
 
+/// A one-line rendering of a value for diff messages (not re-parseable;
+/// strings are shown with `{:?}`).
+fn brief(v: &Value) -> String {
+    match v {
+        Value::Null => "null".to_owned(),
+        Value::Bool(b) => b.to_string(),
+        Value::Num(n) => format!("{n:?}"),
+        Value::Str(s) => format!("{s:?}"),
+        Value::Arr(items) => format!("[… {} items]", items.len()),
+        Value::Obj(m) => format!("{{… {} keys}}", m.len()),
+    }
+}
+
 /// Compares two parsed documents field by field. `float_tol` is the
 /// relative tolerance for numeric leaves (0.0 = exact, the default
 /// policy for golden snapshots).
@@ -92,7 +105,7 @@ fn walk(path: &str, golden: &Value, actual: &Value, tol: f64, out: &mut Vec<Diff
                     Some(av) => walk(&format!("{path}.{key}"), gv, av, tol, out),
                     None => out.push(DiffEntry {
                         path: format!("{path}.{key}"),
-                        golden: gv.brief(),
+                        golden: brief(gv),
                         actual: "<absent>".to_owned(),
                     }),
                 }
@@ -102,7 +115,7 @@ fn walk(path: &str, golden: &Value, actual: &Value, tol: f64, out: &mut Vec<Diff
                     out.push(DiffEntry {
                         path: format!("{path}.{key}"),
                         golden: "<absent>".to_owned(),
-                        actual: av.brief(),
+                        actual: brief(av),
                     });
                 }
             }
@@ -132,8 +145,8 @@ fn walk(path: &str, golden: &Value, actual: &Value, tol: f64, out: &mut Vec<Diff
             if g != a {
                 out.push(DiffEntry {
                     path: path.to_owned(),
-                    golden: g.brief(),
-                    actual: a.brief(),
+                    golden: brief(g),
+                    actual: brief(a),
                 });
             }
         }
@@ -160,8 +173,8 @@ pub fn explain(diffs: &[DiffEntry], golden: &Value) -> String {
 fn table_cell_context(path: &str, golden: &Value) -> Option<String> {
     let rest = path.strip_prefix("$.tables[")?;
     let (i, rest) = rest.split_once(']')?;
-    let table = golden.get_opt("tables")?.arr().get(i.parse::<usize>().ok()?)?;
-    let title = table.get_opt("title")?.str();
+    let table = golden.get("tables")?.as_arr()?.get(i.parse::<usize>().ok()?)?;
+    let title = table.get("title")?.as_str()?;
     let Some(rest) = rest.strip_prefix(".rows[") else {
         return Some(format!("table {title:?}"));
     };
@@ -170,10 +183,10 @@ fn table_cell_context(path: &str, golden: &Value) -> Option<String> {
         return Some(format!("table {title:?}, row {r}"));
     };
     let header = table
-        .get_opt("headers")?
-        .arr()
+        .get("headers")?
+        .as_arr()?
         .get(col.parse::<usize>().ok()?)
-        .map(|h| h.brief())
+        .map(brief)
         .unwrap_or_else(|| "?".to_owned());
     Some(format!("table {title:?}, row {r}, column {header}"))
 }
@@ -197,24 +210,6 @@ fn fmt_num(n: f64) -> String {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_value(v: &Value, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     match v {
@@ -223,7 +218,9 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
             let _ = write!(out, "{b}");
         }
         Value::Num(n) => out.push_str(&fmt_num(*n)),
-        Value::Str(s) => write_escaped(s, out),
+        Value::Str(s) => {
+            let _ = write!(out, "\"{}\"", escape(s));
+        }
         Value::Arr(items) if items.is_empty() => out.push_str("[]"),
         Value::Arr(items) => {
             // Leaf arrays (all scalars) stay on one line: table rows and
@@ -254,9 +251,7 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
         Value::Obj(m) => {
             out.push_str("{\n");
             for (i, (k, val)) in m.iter().enumerate() {
-                let _ = write!(out, "{pad}  ");
-                write_escaped(k, out);
-                out.push_str(": ");
+                let _ = write!(out, "{pad}  \"{}\": ", escape(k));
                 write_value(val, indent + 1, out);
                 out.push_str(if i + 1 < m.len() { ",\n" } else { "\n" });
             }
@@ -349,23 +344,23 @@ pub fn validate_report(v: &Value) -> Vec<String> {
         "notes",
         "trace_artifacts",
     ] {
-        if v.get_opt(key).is_none() {
+        if v.get(key).is_none() {
             problems.push(format!("missing key {key:?}"));
         }
     }
-    if let Some(Value::Num(n)) = v.get_opt("schema_version") {
+    if let Some(Value::Num(n)) = v.get("schema_version") {
         if *n != 1.0 {
             problems.push(format!("unsupported schema_version {n}"));
         }
     }
 
-    if let Some(Value::Arr(tables)) = v.get_opt("tables") {
+    if let Some(Value::Arr(tables)) = v.get("tables") {
         for (i, t) in tables.iter().enumerate() {
-            let Some(Value::Arr(headers)) = t.get_opt("headers") else {
+            let Some(Value::Arr(headers)) = t.get("headers") else {
                 problems.push(format!("tables[{i}]: missing headers"));
                 continue;
             };
-            if let Some(Value::Arr(rows)) = t.get_opt("rows") {
+            if let Some(Value::Arr(rows)) = t.get("rows") {
                 for (r, row) in rows.iter().enumerate() {
                     match row {
                         Value::Arr(cells) if cells.len() == headers.len() => {}
@@ -375,7 +370,7 @@ pub fn validate_report(v: &Value) -> Vec<String> {
                             headers.len()
                         )),
                         other => problems
-                            .push(format!("tables[{i}].rows[{r}]: not an array: {}", other.brief())),
+                            .push(format!("tables[{i}].rows[{r}]: not an array: {}", brief(other))),
                     }
                 }
             } else {
@@ -384,9 +379,9 @@ pub fn validate_report(v: &Value) -> Vec<String> {
         }
     }
 
-    if let Some(Value::Arr(series)) = v.get_opt("series") {
+    if let Some(Value::Arr(series)) = v.get("series") {
         for (i, s) in series.iter().enumerate() {
-            if let Some(Value::Arr(points)) = s.get_opt("points") {
+            if let Some(Value::Arr(points)) = s.get("points") {
                 for (p, pt) in points.iter().enumerate() {
                     if !matches!(pt, Value::Arr(xy) if xy.len() == 2) {
                         problems.push(format!("series[{i}].points[{p}]: not an [x, y] pair"));
@@ -398,19 +393,19 @@ pub fn validate_report(v: &Value) -> Vec<String> {
         }
     }
 
-    if let Some(Value::Arr(claims)) = v.get_opt("claims") {
+    if let Some(Value::Arr(claims)) = v.get("claims") {
         let mut all = true;
         for (i, c) in claims.iter().enumerate() {
             for key in ["claim", "paper", "measured", "pass"] {
-                if c.get_opt(key).is_none() {
+                if c.get(key).is_none() {
                     problems.push(format!("claims[{i}]: missing {key:?}"));
                 }
             }
-            if let Some(Value::Bool(pass)) = c.get_opt("pass") {
+            if let Some(Value::Bool(pass)) = c.get("pass") {
                 all &= pass;
             }
         }
-        if let Some(Value::Bool(rollup)) = v.get_opt("all_claims_pass") {
+        if let Some(Value::Bool(rollup)) = v.get("all_claims_pass") {
             if *rollup != all {
                 problems.push(format!(
                     "all_claims_pass is {rollup} but the per-claim flags aggregate to {all}"
@@ -437,10 +432,17 @@ mod tests {
                 "trace_artifacts": ["artifacts/traces/E15_x.trace.jsonl"]}"#,
         );
         normalize(&mut v);
-        assert!(v.get_opt("wall_secs").is_none());
-        assert!(v.get_opt("threads").is_none());
-        assert_eq!(v.get("trace_artifacts").arr()[0].str(), "E15_x.trace.jsonl");
-        assert_eq!(v.get("id").str(), "E1");
+        assert!(v.get("wall_secs").is_none());
+        assert!(v.get("threads").is_none());
+        assert_eq!(v["trace_artifacts"].as_arr().unwrap()[0].as_str(), Some("E15_x.trace.jsonl"));
+        assert_eq!(v["id"].as_str(), Some("E1"));
+    }
+
+    #[test]
+    fn brief_rendering_is_compact() {
+        assert_eq!(brief(&Value::Num(1.5)), "1.5");
+        assert_eq!(brief(&Value::Str("a".into())), "\"a\"");
+        assert_eq!(brief(&Value::Arr(vec![Value::Null; 3])), "[… 3 items]");
     }
 
     #[test]

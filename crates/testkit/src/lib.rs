@@ -18,8 +18,8 @@
 //!   perturbations; the injection hooks live in the production crates
 //!   behind `cfg(any(test, feature = "fault-inject"))`.
 //!
-//! [`json`] carries the strict, dependency-free JSON parser all of the
-//! above share — the external-consumer's-eye view of a report artifact.
+//! Reports are read with `densemem_stats::json`, the workspace's one
+//! strict JSON reader — the external consumer's view of an artifact.
 //! [`servefault`] adds transport-level damage (truncated frames, mid-job
 //! disconnects, flipped cache bytes) for exercising the serving daemon's
 //! degradation paths.
@@ -35,6 +35,5 @@
 
 pub mod fault;
 pub mod golden;
-pub mod json;
 pub mod oracle;
 pub mod servefault;

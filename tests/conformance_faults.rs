@@ -24,11 +24,11 @@ use densemem_ecc::hamming::{DecodeOutcome, Secded7264};
 use densemem_flash::block::FlashBlock;
 use densemem_flash::ecc::BchCode;
 use densemem_flash::params::FlashParams;
+use densemem_stats::json::{parse, Value};
 use densemem_testkit::fault::{
     apply_dram_flips, apply_flash_upsets, corrupt_jsonl_line, mutate, FaultPlan, TraceFault,
 };
 use densemem_testkit::golden;
-use densemem_testkit::json::{parse, Value};
 
 const SEED: u64 = 0xF161;
 

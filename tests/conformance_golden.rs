@@ -15,8 +15,8 @@
 
 use densemem::experiments::{registry, ExpContext};
 use densemem::report::json;
+use densemem_stats::json::{parse, Value};
 use densemem_testkit::golden::{self, GoldenOutcome};
-use densemem_testkit::json::{parse, Value};
 
 fn check(id: &str) {
     let exp = registry::find(id).unwrap_or_else(|| panic!("{id} not registered"));
@@ -104,11 +104,11 @@ fn perturbed_report_fails_with_field_level_diff() {
 
     // Flip one numeric cell in the first table.
     let (ti, ri, ci, old) = {
-        let tables = golden_doc.get("tables").arr();
+        let tables = golden_doc["tables"].as_arr().unwrap();
         let mut found = None;
         'outer: for (ti, t) in tables.iter().enumerate() {
-            for (ri, row) in t.get("rows").arr().iter().enumerate() {
-                for (ci, cell) in row.arr().iter().enumerate() {
+            for (ri, row) in t["rows"].as_arr().unwrap().iter().enumerate() {
+                for (ci, cell) in row.as_arr().unwrap().iter().enumerate() {
                     if let Value::Num(n) = cell {
                         found = Some((ti, ri, ci, *n));
                         break 'outer;
@@ -158,20 +158,20 @@ fn single_bit_kernel_bug_bites_a_golden() {
     // Find a non-zero cell in a flip-count column: the number a packed
     // scan feeds the report, which a dropped bit turns into N-1.
     let (ti, ri, ci, old) = {
-        let tables = golden_doc.get("tables").arr();
+        let tables = golden_doc["tables"].as_arr().unwrap();
         let mut found = None;
         'outer: for (ti, t) in tables.iter().enumerate() {
-            let flip_cols: Vec<usize> = t
-                .get("headers")
-                .arr()
+            let flip_cols: Vec<usize> = t["headers"]
+                .as_arr()
+                .unwrap()
                 .iter()
                 .enumerate()
-                .filter(|(_, h)| h.brief().contains("flip"))
+                .filter(|(_, h)| h.as_str().is_some_and(|h| h.contains("flip")))
                 .map(|(ci, _)| ci)
                 .collect();
-            for (ri, row) in t.get("rows").arr().iter().enumerate() {
+            for (ri, row) in t["rows"].as_arr().unwrap().iter().enumerate() {
                 for &ci in &flip_cols {
-                    if let Some(Value::Num(n)) = row.arr().get(ci) {
+                    if let Some(Value::Num(n)) = row.as_arr().unwrap().get(ci) {
                         if *n > 0.0 {
                             found = Some((ti, ri, ci, *n));
                             break 'outer;

@@ -209,9 +209,10 @@ proptest! {
     /// slot vectors, not just sampler output.
     #[test]
     fn shaped_pattern_jsonl_roundtrip(
-        // Printable ASCII, quotes and backslashes included, so the name
-        // exercises the JSON string escaping.
-        name_bytes in proptest::collection::vec(0x20u8..0x7f, 0..24),
+        // Control characters, printable ASCII (quotes and backslashes
+        // included), and BMP and astral non-ASCII in equal shares, so the
+        // name exercises every branch of the JSON string escaping.
+        name_chars in proptest::collection::vec((0usize..4, any::<u32>()), 0..24),
         bank in 0usize..8,
         period in 1u32..256,
         raw in proptest::collection::vec(
@@ -228,7 +229,14 @@ proptest! {
                 amplitude: 1 + amplitude % MAX_AMPLITUDE,
             })
             .collect();
-        let name = String::from_utf8(name_bytes).expect("printable ASCII");
+        let name: String = name_chars
+            .iter()
+            .map(|&(class, n)| {
+                let (lo, span) =
+                    [(0, 0x20), (0x20, 0x5f), (0x80, 0xd780), (0x1_0000, 0x10_0000)][class];
+                char::from_u32(lo + n % span).expect("the ranges skip the surrogates")
+            })
+            .collect();
         let p = ShapedPattern::new(name, bank, period, slots).expect("valid by construction");
         let parsed = ShapedPattern::from_jsonl(&p.to_jsonl()).expect("round-trip parses");
         prop_assert_eq!(parsed, p);

@@ -33,10 +33,6 @@ fn submit_line(exp: &str, seed: u64) -> String {
     format!("{{\"v\":1,\"verb\":\"submit\",\"exp\":\"{exp}\",\"seed\":\"{seed:#x}\",\"wait\":true}}")
 }
 
-fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
-    doc.get(key).unwrap_or_else(|| panic!("response missing {key:?}: {doc:?}"))
-}
-
 /// A submit that answers with a `submitted` frame instead of the result.
 fn submit_nowait_line(exp: &str, seed: u64) -> String {
     format!("{{\"v\":1,\"verb\":\"submit\",\"exp\":\"{exp}\",\"seed\":\"{seed:#x}\"}}")
@@ -62,17 +58,17 @@ fn expected_frame(job: u64, exp: &str, tier: &str, wall_ms: f64, payload: &str) 
 /// Returns the frame's tier.
 fn assert_frame_bytes(frame: &str, exp: &str, payload: &str) -> String {
     let doc = proto::parse(frame).expect("result frame parses");
-    let job = field(&doc, "job").as_num().expect("job id") as u64;
-    let tier = field(&doc, "cache").as_str().expect("cache tier").to_owned();
-    let wall_ms = field(&doc, "wall_ms").as_num().expect("wall_ms");
+    let job = doc["job"].as_num().expect("job id") as u64;
+    let tier = doc["cache"].as_str().expect("cache tier").to_owned();
+    let wall_ms = doc["wall_ms"].as_num().expect("wall_ms");
     assert_eq!(frame, expected_frame(job, exp, &tier, wall_ms, payload), "{tier} frame");
     tier
 }
 
 fn cache_tier(resp: &str) -> String {
     let doc = proto::parse(resp).expect("frame parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(true), "{resp}");
-    field(&doc, "cache").as_str().expect("cache tier").to_owned()
+    assert_eq!(doc["ok"].as_bool(), Some(true), "{resp}");
+    doc["cache"].as_str().expect("cache tier").to_owned()
 }
 
 #[test]
@@ -160,7 +156,7 @@ fn corrupted_disk_entry_is_recomputed_not_served() {
     assert_eq!(cache_tier(&resp), "miss", "corrupt entry must force recompute");
     let stats = eng.handle("{\"v\":1,\"verb\":\"stats\"}");
     let doc = proto::parse(&stats).expect("stats frame parses");
-    assert_eq!(field(&doc, "corrupt_entries").as_num(), Some(1.0), "{stats}");
+    assert_eq!(doc["corrupt_entries"].as_num(), Some(1.0), "{stats}");
     eng.shutdown();
 
     // The re-written entry verifies again.
@@ -205,8 +201,8 @@ fn concurrent_identical_submits_compute_once() {
         .iter()
         .map(|r| {
             let doc = proto::parse(r).expect("result frame parses");
-            assert_eq!(field(&doc, "ok").as_bool(), Some(true), "{r}");
-            field(&doc, "payload").as_str().expect("payload").to_owned()
+            assert_eq!(doc["ok"].as_bool(), Some(true), "{r}");
+            doc["payload"].as_str().expect("payload").to_owned()
         })
         .collect();
     assert!(payloads.windows(2).all(|w| w[0] == w[1]), "payloads must be identical");
@@ -215,8 +211,8 @@ fn concurrent_identical_submits_compute_once() {
     // single-flight followers.
     let stats = eng.handle("{\"v\":1,\"verb\":\"stats\"}");
     let doc = proto::parse(&stats).expect("stats frame parses");
-    assert_eq!(field(&doc, "misses").as_num(), Some(2.0), "decoy + one E15 leader: {stats}");
-    assert_eq!(field(&doc, "dedups").as_num(), Some(3.0), "{stats}");
+    assert_eq!(doc["misses"].as_num(), Some(2.0), "decoy + one E15 leader: {stats}");
+    assert_eq!(doc["dedups"].as_num(), Some(3.0), "{stats}");
     let tiers: Vec<String> = responses.iter().map(|r| cache_tier(r)).collect();
     assert_eq!(tiers.iter().filter(|t| *t == "miss").count(), 1, "{tiers:?}");
     assert_eq!(tiers.iter().filter(|t| *t == "dedup").count(), 3, "{tiers:?}");
@@ -274,14 +270,14 @@ fn job_table_holds_the_newest_retention_window() {
     for job in 1..=total {
         let doc = status(&eng, job);
         if job > kept {
-            assert_eq!(field(&doc, "state").as_str(), Some("done"), "job {job}: {doc:?}");
+            assert_eq!(doc["state"].as_str(), Some("done"), "job {job}: {doc:?}");
         } else {
-            assert_eq!(field(&doc, "code").as_str(), Some("job-expired"), "job {job}: {doc:?}");
+            assert_eq!(doc["code"].as_str(), Some("job-expired"), "job {job}: {doc:?}");
         }
     }
     for never_issued in [0, total + 1] {
         let doc = status(&eng, never_issued);
-        assert_eq!(field(&doc, "code").as_str(), Some("unknown-job"), "{doc:?}");
+        assert_eq!(doc["code"].as_str(), Some("unknown-job"), "{doc:?}");
     }
     let expired = eng.handle("{\"v\":1,\"verb\":\"result\",\"job\":1}");
     assert!(expired.contains("\"code\":\"job-expired\""), "{expired}");
@@ -305,9 +301,9 @@ fn a_parked_result_outlives_the_retention_bound() {
     // Past the bound, but its waiter has not collected it yet.
     let frame = eng.collect_result(job).expect("the parked job is terminal");
     let doc = proto::parse(&frame).expect("result frame parses");
-    assert_eq!(field(&doc, "job").as_num(), Some(job as f64), "{frame}");
-    assert_eq!(field(&doc, "cache").as_str(), Some("miss"), "{frame}");
+    assert_eq!(doc["job"].as_num(), Some(job as f64), "{frame}");
+    assert_eq!(doc["cache"].as_str(), Some("miss"), "{frame}");
     // Collected, it is evicted like any other old job.
-    assert_eq!(field(&status(&eng, job), "code").as_str(), Some("job-expired"));
+    assert_eq!(status(&eng, job)["code"].as_str(), Some("job-expired"));
     eng.shutdown();
 }

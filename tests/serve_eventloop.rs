@@ -4,7 +4,7 @@
 //! spending one. Raw `TcpStream`s throughout — the point is byte-level
 //! misbehaviour the polite bundled client cannot produce.
 
-use densemem_serve::proto::{self, Value};
+use densemem_serve::proto;
 use densemem_serve::{Engine, EngineConfig, Server, TcpClient};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -35,10 +35,6 @@ fn stop(daemon: Daemon) {
     daemon.thread.join().expect("server thread").expect("server run");
 }
 
-fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
-    doc.get(key).unwrap_or_else(|| panic!("response missing {key:?}: {doc:?}"))
-}
-
 #[test]
 fn slow_loris_frame_arrives_byte_by_byte() {
     let daemon = start(EngineConfig { workers: 1, ..Default::default() });
@@ -57,7 +53,7 @@ fn slow_loris_frame_arrives_byte_by_byte() {
     let mut response = String::new();
     BufReader::new(&stream).read_line(&mut response).expect("response");
     let doc = proto::parse(response.trim_end()).expect("stats frame parses");
-    assert_eq!(field(&doc, "type").as_str(), Some("stats"), "{response}");
+    assert_eq!(doc["type"].as_str(), Some("stats"), "{response}");
     stop(daemon);
 }
 
@@ -79,8 +75,8 @@ fn frame_split_across_many_writes_still_computes() {
     let mut response = String::new();
     BufReader::new(&stream).read_line(&mut response).expect("response");
     let doc = proto::parse(response.trim_end()).expect("result frame parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(true), "{response}");
-    assert_eq!(field(&doc, "type").as_str(), Some("result"));
+    assert_eq!(doc["ok"].as_bool(), Some(true), "{response}");
+    assert_eq!(doc["type"].as_str(), Some("result"));
     stop(daemon);
 }
 
@@ -143,13 +139,10 @@ fn hundreds_of_concurrent_connections_on_one_thread() {
     let stats = clients[0].stats().expect("final stats");
     let doc = proto::parse(&stats).expect("stats frame parses");
     assert!(
-        field(&doc, "open_connections").as_num() >= Some(200.0),
+        doc["open_connections"].as_num() >= Some(200.0),
         "open_connections gauge too low: {stats}"
     );
-    assert!(
-        field(&doc, "accepted_total").as_num() >= Some(200.0),
-        "accepted_total gauge too low: {stats}"
-    );
+    assert!(doc["accepted_total"].as_num() >= Some(200.0), "accepted_total gauge too low: {stats}");
     drop(clients);
     stop(daemon);
 }

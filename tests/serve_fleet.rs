@@ -11,7 +11,7 @@
 //! * mis-forwarded frames get typed `wrong-shard` refusals.
 
 use densemem::experiments::{registry, ExpContext, Scale};
-use densemem_serve::proto::{self, Value};
+use densemem_serve::proto;
 use densemem_serve::{Engine, EngineConfig, LocalFleet, TcpClient};
 use densemem_stats::ring::HashRing;
 use std::net::SocketAddr;
@@ -24,10 +24,6 @@ const SHARDS: u32 = 3;
 
 fn cfg() -> EngineConfig {
     EngineConfig { workers: 2, ..Default::default() }
-}
-
-fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
-    doc.get(key).unwrap_or_else(|| panic!("response missing {key:?}: {doc:?}"))
 }
 
 fn submit_line(exp: &str, seed: u64) -> String {
@@ -64,7 +60,7 @@ fn stats_num(addr: SocketAddr, key: &str) -> f64 {
     let mut c = TcpClient::connect(addr).expect("stats connect");
     let stats = c.stats().expect("stats");
     let doc = proto::parse(&stats).expect("stats frame parses");
-    field(&doc, key).as_num().unwrap_or_else(|| panic!("{key} not numeric: {stats}"))
+    doc[key].as_num().unwrap_or_else(|| panic!("{key} not numeric: {stats}"))
 }
 
 #[test]
@@ -81,12 +77,12 @@ fn any_shard_answers_any_key_byte_identically_and_warms_its_lru() {
     for (exp, seed) in &mix {
         let resp = client.roundtrip(&submit_line(exp, *seed)).expect("submit");
         let doc = proto::parse(&resp).expect("result frame parses");
-        assert_eq!(field(&doc, "ok").as_bool(), Some(true), "{resp}");
+        assert_eq!(doc["ok"].as_bool(), Some(true), "{resp}");
         assert!(
-            matches!(field(&doc, "cache").as_str(), Some("miss" | "peer" | "dedup")),
+            matches!(doc["cache"].as_str(), Some("miss" | "peer" | "dedup")),
             "cold round tier: {resp}"
         );
-        served.push(field(&doc, "payload").as_str().expect("payload").to_owned());
+        served.push(doc["payload"].as_str().expect("payload").to_owned());
     }
 
     // The mix spanned shard boundaries: shard 0 forwarded at least one
@@ -100,7 +96,7 @@ fn any_shard_answers_any_key_byte_identically_and_warms_its_lru() {
     for (exp, seed) in &mix {
         let resp = client.roundtrip(&submit_line(exp, *seed)).expect("warm submit");
         let doc = proto::parse(&resp).expect("result frame parses");
-        assert_eq!(field(&doc, "cache").as_str(), Some("mem"), "{resp}");
+        assert_eq!(doc["cache"].as_str(), Some("mem"), "{resp}");
     }
 
     // Byte identity: a standalone (fleetless) engine computes the same
@@ -112,11 +108,9 @@ fn any_shard_answers_any_key_byte_identically_and_warms_its_lru() {
     for ((exp, seed), fleet_payload) in mix.iter().zip(&served) {
         let resp = lone.handle(&submit_line(exp, *seed));
         let doc = proto::parse(&resp).expect("standalone result parses");
-        let lone_payload = field(&doc, "payload").as_str().expect("payload");
-        let mut fleet_doc =
-            densemem_testkit::json::parse(fleet_payload).expect("fleet payload parses");
-        let mut lone_doc =
-            densemem_testkit::json::parse(lone_payload).expect("standalone payload parses");
+        let lone_payload = doc["payload"].as_str().expect("payload");
+        let mut fleet_doc = proto::parse(fleet_payload).expect("fleet payload parses");
+        let mut lone_doc = proto::parse(lone_payload).expect("standalone payload parses");
         golden::normalize(&mut fleet_doc);
         golden::normalize(&mut lone_doc);
         assert_eq!(
@@ -147,17 +141,13 @@ fn dead_peer_degrades_to_local_compute_not_an_error() {
     let mut client = TcpClient::connect(entry).expect("connect shard 0");
     let resp = client.roundtrip(&submit_line("E1", seed)).expect("submit to survivor");
     let doc = proto::parse(&resp).expect("result frame parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(true), "dead peer leaked to client: {resp}");
-    assert_eq!(field(&doc, "cache").as_str(), Some("miss"), "fallback is a local compute: {resp}");
+    assert_eq!(doc["ok"].as_bool(), Some(true), "dead peer leaked to client: {resp}");
+    assert_eq!(doc["cache"].as_str(), Some("miss"), "fallback is a local compute: {resp}");
 
     assert!(stats_num(entry, "peer_failures") >= 1.0, "peer failure not counted");
     // And the fallback's result is cached like any other local compute.
     let warm = client.roundtrip(&submit_line("E1", seed)).expect("warm submit");
-    assert_eq!(
-        proto::parse(&warm).expect("warm parses").get("cache").and_then(Value::as_str),
-        Some("mem"),
-        "{warm}"
-    );
+    assert_eq!(proto::parse(&warm).expect("warm parses")["cache"].as_str(), Some("mem"), "{warm}");
     fleet.shutdown();
 }
 
@@ -176,8 +166,8 @@ fn misrouted_and_stale_forwards_get_wrong_shard_refusals() {
     );
     let resp = c0.roundtrip(&misrouted).expect("misrouted fwd");
     let doc = proto::parse(&resp).expect("refusal parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(false), "{resp}");
-    assert_eq!(field(&doc, "code").as_str(), Some("wrong-shard"), "{resp}");
+    assert_eq!(doc["ok"].as_bool(), Some(false), "{resp}");
+    assert_eq!(doc["code"].as_str(), Some("wrong-shard"), "{resp}");
 
     // The right shard but a stale ring epoch: also refused — two shards
     // with different ring configs must not trust each other's routing.
@@ -187,16 +177,12 @@ fn misrouted_and_stale_forwards_get_wrong_shard_refusals() {
     );
     let resp = c1.roundtrip(&stale).expect("stale fwd");
     let doc = proto::parse(&resp).expect("refusal parses");
-    assert_eq!(field(&doc, "code").as_str(), Some("wrong-shard"), "{resp}");
+    assert_eq!(doc["code"].as_str(), Some("wrong-shard"), "{resp}");
 
     // A first-hand (non-fwd) request for the same key through shard 0
     // still works fine — the refusals above are for forwarded frames.
     let resp = c0.roundtrip(&submit_line("E1", seed)).expect("first-hand submit");
-    assert_eq!(
-        proto::parse(&resp).expect("result parses").get("ok").and_then(Value::as_bool),
-        Some(true),
-        "{resp}"
-    );
+    assert_eq!(proto::parse(&resp).expect("result parses")["ok"].as_bool(), Some(true), "{resp}");
     fleet.shutdown();
 }
 
@@ -209,12 +195,12 @@ fn peer_filled_frame_is_built_from_the_owners_payload() {
     let mut c1 = TcpClient::connect(fleet.addrs()[1]).expect("connect shard 1");
     let owned = c1.roundtrip(&submit_line("E10", seed)).expect("submit to the owner");
     let owned_doc = proto::parse(&owned).expect("owner's frame parses");
-    assert_eq!(field(&owned_doc, "cache").as_str(), Some("mem"), "{owned}");
-    let payload = field(&owned_doc, "payload").as_str().expect("payload");
+    assert_eq!(owned_doc["cache"].as_str(), Some("mem"), "{owned}");
+    let payload = owned_doc["payload"].as_str().expect("payload");
 
     let doc = proto::parse(&filled).expect("peer frame parses");
-    let job = field(&doc, "job").as_num().expect("job id") as u64;
-    let wall_ms = field(&doc, "wall_ms").as_num().expect("wall_ms");
+    let job = doc["job"].as_num().expect("job id") as u64;
+    let wall_ms = doc["wall_ms"].as_num().expect("wall_ms");
     assert_eq!(filled, expected_frame(job, "E10", "peer", wall_ms, payload));
     fleet.shutdown();
 }

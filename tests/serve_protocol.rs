@@ -3,7 +3,7 @@
 //! transport-damage helpers. One shared server per test body (servers
 //! are cheap; isolation beats reuse).
 
-use densemem_serve::proto::{self, Value};
+use densemem_serve::proto;
 use densemem_serve::{Engine, EngineConfig, Server, TcpClient, JOB_RETENTION};
 use densemem_testkit::servefault;
 use std::net::SocketAddr;
@@ -43,10 +43,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
-    doc.get(key).unwrap_or_else(|| panic!("response missing {key:?}: {doc:?}"))
-}
-
 #[test]
 fn submit_status_result_cancel_round_trip() {
     let daemon = start(EngineConfig { workers: 2, ..Default::default() });
@@ -59,42 +55,39 @@ fn submit_status_result_cancel_round_trip() {
         ))
         .expect("submit");
     let doc = proto::parse(&submitted).expect("submitted frame parses");
-    assert_eq!(field(&doc, "type").as_str(), Some("submitted"));
-    assert_eq!(field(&doc, "cache").as_str(), Some("miss"));
-    let job = field(&doc, "job").as_num().expect("job id") as u64;
+    assert_eq!(doc["type"].as_str(), Some("submitted"));
+    assert_eq!(doc["cache"].as_str(), Some("miss"));
+    let job = doc["job"].as_num().expect("job id") as u64;
 
     // Status is answerable at any point in the lifecycle.
     let status = client
         .roundtrip(&format!("{{\"v\":1,\"verb\":\"status\",\"job\":{job}}}"))
         .expect("status");
     let doc = proto::parse(&status).expect("status frame parses");
-    assert!(
-        matches!(field(&doc, "state").as_str(), Some("queued" | "running" | "done")),
-        "{status}"
-    );
+    assert!(matches!(doc["state"].as_str(), Some("queued" | "running" | "done")), "{status}");
 
     // Result blocks until done and carries the hashed payload.
     let result = client
         .roundtrip(&format!("{{\"v\":1,\"verb\":\"result\",\"job\":{job}}}"))
         .expect("result");
     let doc = proto::parse(&result).expect("result frame parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(true));
-    let payload = field(&doc, "payload").as_str().expect("payload").to_owned();
-    let fnv = field(&doc, "payload_fnv").as_str().expect("fnv");
+    assert_eq!(doc["ok"].as_bool(), Some(true));
+    let payload = doc["payload"].as_str().expect("payload").to_owned();
+    let fnv = doc["payload_fnv"].as_str().expect("fnv");
     assert_eq!(
         u64::from_str_radix(fnv, 16).expect("hex fnv"),
         densemem_stats::fnv1a64(payload.as_bytes()),
         "payload hash must verify client-side"
     );
     let report = proto::parse(&payload).expect("payload is a JSON report");
-    assert_eq!(field(&report, "id").as_str(), Some("E15"));
+    assert_eq!(report["id"].as_str(), Some("E15"));
 
     // Cancelling a finished job is a no-op, stated as such.
     let cancel = client
         .roundtrip(&format!("{{\"v\":1,\"verb\":\"cancel\",\"job\":{job}}}"))
         .expect("cancel");
     let doc = proto::parse(&cancel).expect("cancel frame parses");
-    assert_eq!(field(&doc, "did_cancel").as_bool(), Some(false));
+    assert_eq!(doc["did_cancel"].as_bool(), Some(false));
 
     stop(daemon);
 }
@@ -131,15 +124,15 @@ fn typed_error_frames_for_bad_input() {
     ] {
         let resp = client.roundtrip(line).expect("roundtrip");
         let doc = proto::parse(&resp).expect("error frame parses");
-        assert_eq!(field(&doc, "ok").as_bool(), Some(false), "{line} → {resp}");
-        assert_eq!(field(&doc, "code").as_str(), Some(want), "{line} → {resp}");
+        assert_eq!(doc["ok"].as_bool(), Some(false), "{line} → {resp}");
+        assert_eq!(doc["code"].as_str(), Some(want), "{line} → {resp}");
     }
     // The connection survived all eight bad lines; five of them failed at
     // the frame-parse layer and show up in the counter (the unknown
     // experiment, unknown job and expired job were well-formed frames).
     let stats = client.stats().expect("stats");
     let doc = proto::parse(&stats).expect("stats frame parses");
-    assert_eq!(field(&doc, "bad_frames").as_num(), Some(5.0), "{stats}");
+    assert_eq!(doc["bad_frames"].as_num(), Some(5.0), "{stats}");
     stop(daemon);
 }
 
@@ -150,8 +143,8 @@ fn truncated_frame_gets_bad_frame_not_a_hang() {
         servefault::send_truncated(daemon.addr, b"{\"v\":1,\"verb\":\"submit\",\"exp\":\"E1")
             .expect("truncated send");
     let doc = proto::parse(&resp).expect("response parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(false));
-    assert_eq!(field(&doc, "code").as_str(), Some("bad-frame"));
+    assert_eq!(doc["ok"].as_bool(), Some(false));
+    assert_eq!(doc["code"].as_str(), Some("bad-frame"));
     // The server is still healthy for well-formed peers.
     servefault::connect_and_vanish(daemon.addr).expect("silent peer");
     let mut client = TcpClient::connect(daemon.addr).expect("connect");
@@ -176,7 +169,7 @@ fn mid_job_disconnect_still_caches_the_result() {
     loop {
         let stats = client.stats().expect("stats");
         let doc = proto::parse(&stats).expect("stats frame parses");
-        if field(&doc, "misses").as_num() >= Some(1.0) {
+        if doc["misses"].as_num() >= Some(1.0) {
             break;
         }
         assert!(Instant::now() < deadline, "abandoned submit never ingested: {stats}");
@@ -192,14 +185,14 @@ fn mid_job_disconnect_still_caches_the_result() {
         ))
         .expect("warm submit");
     let doc = proto::parse(&resp).expect("result frame parses");
-    assert_eq!(field(&doc, "ok").as_bool(), Some(true), "{resp}");
+    assert_eq!(doc["ok"].as_bool(), Some(true), "{resp}");
     assert!(
-        matches!(field(&doc, "cache").as_str(), Some("dedup" | "mem")),
+        matches!(doc["cache"].as_str(), Some("dedup" | "mem")),
         "abandoned job's work must be reused: {resp}"
     );
     let stats = client.stats().expect("stats");
     let doc = proto::parse(&stats).expect("stats frame parses");
-    assert_eq!(field(&doc, "misses").as_num(), Some(1.0), "one cold compute total: {stats}");
+    assert_eq!(doc["misses"].as_num(), Some(1.0), "one cold compute total: {stats}");
     stop(daemon);
 }
 
@@ -220,8 +213,8 @@ fn warm_answer_is_byte_identical_to_batch_report_after_normalization() {
     let _cold = client.roundtrip(&line).expect("cold");
     let warm = client.roundtrip(&line).expect("warm");
     let doc = proto::parse(&warm).expect("warm frame parses");
-    assert_eq!(field(&doc, "cache").as_str(), Some("mem"), "{warm}");
-    let served = field(&doc, "payload").as_str().expect("payload").to_owned();
+    assert_eq!(doc["cache"].as_str(), Some("mem"), "{warm}");
+    let served = doc["payload"].as_str().expect("payload").to_owned();
 
     // The batch path: same experiment, same seed, rendered directly.
     let exp = registry::find("E15").expect("registered");
@@ -231,8 +224,8 @@ fn warm_answer_is_byte_identical_to_batch_report_after_normalization() {
 
     // Normalize both (wall_secs/threads legitimately differ) and compare
     // the canonical renderings byte for byte.
-    let mut served_doc = densemem_testkit::json::parse(&served).expect("served parses");
-    let mut batch_doc = densemem_testkit::json::parse(&batch).expect("batch parses");
+    let mut served_doc = proto::parse(&served).expect("served parses");
+    let mut batch_doc = proto::parse(&batch).expect("batch parses");
     golden::normalize(&mut served_doc);
     golden::normalize(&mut batch_doc);
     assert_eq!(

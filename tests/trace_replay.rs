@@ -48,11 +48,14 @@ fn same_seed_records_identical_traces() {
 
 #[test]
 fn trace_round_trips_through_disk() {
-    let (trace, _) = record_attack(43);
+    let (mut trace, _) = record_attack(43);
+    // Control characters in the label exercise the JSON string escaping.
+    trace.label = "\t\r\u{1}".to_owned();
     let path = std::env::temp_dir().join(format!("densemem-trace-rt-{}.jsonl", std::process::id()));
     std::fs::write(&path, trace.to_jsonl()).unwrap();
     let loaded = Trace::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.label, trace.label, "the label survives its escaping");
     assert_eq!(loaded, trace, "JSONL round-trip must be lossless");
 }
 
